@@ -31,6 +31,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
+import numpy as np
+
 from .lattice import CapExceededError, OracleFunction
 from .extension import Chain, adjacent_chain_family, chain_containing, chain_lower_bound
 from .bounds import dr_violation, separable_upper_bound
@@ -149,27 +151,29 @@ def certify_local_minimum(p: DsProblem, x, tol: float = DESCENT_TOL,
     """Check v(x) <= v(x +- e_i) for every feasible unit neighbour.
 
     2n evaluations of v; with a cardinality budget, up-neighbours violating
-    it are not feasible and are skipped.  The adjacent chain family at x is
-    recorded so the certificate shows which chain sweep covers the same
-    neighbours.
+    it are not feasible and are skipped.  f and g are each evaluated in one
+    batch over x and its feasible neighbours, ordered by coordinate, the
+    up-neighbour first.  The adjacent chain family at x is recorded so the
+    certificate shows which chain sweep covers the same neighbours.
     """
     d = p.domain
     x = d.require(x)
-    vx = p.v(x)
+    # row 0 is x, rows 2i+1 and 2i+2 are x + e_i and x - e_i
+    points = np.repeat(np.array(x)[None], 2 * d.n + 1, axis=0)
+    points[np.arange(1, 2 * d.n + 1), np.repeat(np.arange(d.n), 2)] += np.tile([1, -1], d.n)
+    feasible = ((points >= 0) & (points <= np.array(d.k_max))).all(axis=1)
+    if budget is not None:
+        feasible[1:] &= points[1:].sum(axis=1) <= budget
+    points = points[feasible]
+    values = (p.f.batch(points) - p.g.batch(points)).tolist()
+    vx = values[0]
     neighbors = []
     best = None
-    for i in range(d.n):
-        for delta in (1, -1):
-            ni = x[i] + delta
-            if not 0 <= ni <= d.sizes[i] - 1:
-                continue
-            nbr = x[:i] + (ni,) + x[i + 1:]
-            if budget is not None and sum(nbr) > budget:
-                continue
-            vn = p.v(nbr)
-            neighbors.append((nbr, vn))
-            if vn < vx - tol and (best is None or vn < best[1]):
-                best = (nbr, vn)
+    for nbr, vn in zip(points[1:].tolist(), values[1:]):
+        nbr = tuple(nbr)
+        neighbors.append((nbr, vn))
+        if vn < vx - tol and (best is None or vn < best[1]):
+            best = (nbr, vn)
     return Certificate(best is None, x, vx, neighbors, best,
                        adjacent_chain_family(d, x))
 

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (
-    LatticeDomain,
     OracleFunction,
     SeparableFunction,
     second_difference_within,
@@ -96,60 +95,88 @@ def dr_split(f: OracleFunction, coeff: float) -> DrDecomposition:
     # increments of coeff * x^2: coeff * (2j - 1) at level j
     tables = [coeff * (2.0 * np.arange(1, k) - 1.0) for k in d.sizes]
     quad = SeparableFunction(d, 0.0, tables)
-    residual = OracleFunction(d, lambda x: f(x) - quad.value(x))
+    residual = OracleFunction(d, lambda x: f(x) - quad.value(x),
+                              batch_fn=lambda X: f._batch(X) - quad.values_at(X))
     return DrDecomposition(coeff, quad, residual)
-
-
-def _axis_point(d: LatticeDomain, i: int, level: int) -> tuple:
-    p = [0] * d.n
-    p[i] = level
-    return tuple(p)
-
-
-def _top_with(d: LatticeDomain, i: int, level: int) -> tuple:
-    p = list(d.k_max)
-    p[i] = level
-    return tuple(p)
 
 
 def dr_upper_bound(h: OracleFunction, x, variant: str = "grow1") -> SeparableFunction:
     """Separable upper bound of a DR-submodular h, tight at the anchor x.
 
     See the module docstring for the four variants.  h is trusted to be
-    DR-submodular; the bound property fails otherwise.
+    DR-submodular; the bound property fails otherwise.  Every point the
+    variant needs is evaluated in one batch: h(x), then h(0) for grow1 or
+    h(k_max) for grow2, then one point per level off the anchor, and a second
+    one for the levels whose bound is a difference of two off-anchor values
+    (tight1 above the anchor, tight2 below it).
     """
     if variant not in UB_VARIANTS:
         raise ValueError(f"variant must be one of {UB_VARIANTS}, got {variant!r}")
     d = h.domain
     x = d.require(x)
-    hx = h(x)
-    h0 = h(d.zero) if variant == "grow1" else None
-    htop = h(d.k_max) if variant == "grow2" else None
+    anchor = np.array(x)
+    top = np.array(d.k_max)
+    zero = np.zeros(d.n, dtype=np.int64)
 
-    contribs = []
-    for i, k in enumerate(d.sizes):
-        phi = np.zeros(k)
-        for level in range(k):
-            if level == x[i]:
-                continue
-            if level < x[i]:
-                if variant in ("grow1", "tight1"):
-                    phi[level] = -(hx - h(d.shift(x, i, level - x[i])))
-                elif variant == "grow2":
-                    phi[level] = -(htop - h(_top_with(d, i, d.sizes[i] - 1 - (x[i] - level))))
-                else:  # tight2
-                    phi[level] = h(_top_with(d, i, level)) - h(_top_with(d, i, x[i]))
-            else:
-                if variant == "grow1":
-                    phi[level] = h(_axis_point(d, i, level - x[i])) - h0
-                elif variant == "tight1":
-                    phi[level] = h(_axis_point(d, i, level)) - h(_axis_point(d, i, x[i]))
-                else:  # grow2, tight2
-                    phi[level] = h(d.shift(x, i, level - x[i])) - hx
-        contribs.append(phi)
+    # one row per (coordinate, level) with level != x[coordinate]
+    coord = np.repeat(np.arange(d.n), d.sizes)
+    level = np.concatenate([np.arange(k) for k in d.sizes])
+    off = level != anchor[coord]
+    coord, level = coord[off], level[off]
+    below = level < anchor[coord]
+    rows = np.arange(coord.size)
 
-    tables = [np.diff(phi) for phi in contribs]
-    constant = hx + sum(float(phi[0]) for phi in contribs)
+    def with_level(base, values, where=None):
+        """base with coordinate coord[r] set to values[r], for the rows r in where."""
+        where = rows if where is None else rows[where]
+        points = np.repeat(base[None, :], where.size, axis=0)
+        points[np.arange(where.size), coord[where]] = np.asarray(values)[where]
+        return points
+
+    # first: the point whose value enters each level's bound with a plus sign
+    # (a minus sign for grow1/grow2/tight1 below the anchor); second: the point
+    # subtracted, where it is not the shared h(x), h(0) or h(k_max)
+    if variant in ("grow1", "tight1"):
+        axis_level = level if variant == "tight1" else level - anchor[coord]
+        first = np.where(below[:, None], with_level(anchor, level),
+                         with_level(zero, axis_level))
+    elif variant == "grow2":
+        top_level = top[coord] - (anchor[coord] - level)
+        first = np.where(below[:, None], with_level(top, top_level), with_level(anchor, level))
+    else:  # tight2
+        first = np.where(below[:, None], with_level(top, level), with_level(anchor, level))
+    shared = [anchor] + ([zero] if variant == "grow1" else [top] if variant == "grow2" else [])
+    if variant == "tight1":
+        second = with_level(zero, anchor[coord], ~below)
+    elif variant == "tight2":
+        second = with_level(top, anchor[coord], below)
+    else:
+        second = np.empty((0, d.n), dtype=np.int64)
+
+    values = h.batch(np.vstack([np.array(shared), first, second]))
+    hx, ref = values[0], values[len(shared) - 1]
+    h_first = values[len(shared):len(shared) + coord.size]
+    h_second = values[len(shared) + coord.size:]
+
+    bound = np.empty(coord.size)
+    if variant == "grow1":
+        bound[below] = -(hx - h_first[below])
+        bound[~below] = h_first[~below] - ref
+    elif variant == "tight1":
+        bound[below] = -(hx - h_first[below])
+        bound[~below] = h_first[~below] - h_second
+    elif variant == "grow2":
+        bound[below] = -(ref - h_first[below])
+        bound[~below] = h_first[~below] - hx
+    else:  # tight2
+        bound[below] = h_first[below] - h_second
+        bound[~below] = h_first[~below] - hx
+
+    phi = np.zeros(sum(d.sizes))
+    phi[off] = bound
+    contribs = np.split(phi, np.cumsum(d.sizes)[:-1])
+    tables = [np.diff(c) for c in contribs]
+    constant = float(hx) + sum(float(c[0]) for c in contribs)
     return SeparableFunction(d, constant, tables)
 
 

@@ -72,7 +72,15 @@ class Profile:
         return sum(v.size for v in self.levels)
 
     def point_at(self, t: float) -> tuple:
-        return tuple(level_at(v, t) for v in self.levels)
+        return tuple(self.points_at([t])[0].tolist())
+
+    def points_at(self, thresholds) -> np.ndarray:
+        """Row k holds the level of every coordinate at thresholds[k] (see level_at)."""
+        ts = np.asarray(thresholds, dtype=float).reshape(-1)
+        outside = ~((ts > 0.0) & (ts <= 1.0))
+        if outside.any():
+            raise ValueError(f"threshold must lie in (0, 1], got {ts[np.argmax(outside)]}")
+        return np.stack([(v[None, :] >= ts[:, None]).sum(axis=1) for v in self.levels], axis=1)
 
     def breakpoints(self) -> np.ndarray:
         """Distinct entry values in (0, 1], plus 1.0, ascending."""
@@ -140,25 +148,31 @@ def greedy_extension(f: OracleFunction, profile: Profile):
         if np.any(np.diff(v) > PROFILE_TOL):
             raise ValueError(f"profile coordinate {i} is not non-increasing: {v}")
 
-    entries = []
-    for i, v in enumerate(profile.levels):
-        for j in range(1, v.size + 1):
-            entries.append((v[j - 1], i, j))
-    entries.sort(key=lambda e: (-e[0], e[1], e[2]))
+    # entries in (coordinate, level) order, then sorted by decreasing weight
+    weights = np.concatenate(profile.levels)
+    coords = np.repeat(np.arange(d.n), [k - 1 for k in d.sizes])
+    levels = np.concatenate([np.arange(1, k) for k in d.sizes])
+    order = np.lexsort((levels, coords, -weights))
 
-    y = list(d.zero)
-    f0 = f(tuple(y))
-    prev = f0
-    value = f0
-    tables = [np.zeros(k - 1) for k in d.sizes]
-    for t, i, j in entries:
-        y[i] += 1
-        cur = f(tuple(y))
-        gain = cur - prev
-        tables[i][j - 1] = gain
-        value += t * gain
-        prev = cur
-    return float(value), SeparableFunction(d, f0, tables)
+    values = f.batch(_walk(d, coords[order]))
+    gains = np.diff(values)
+    increments = np.empty_like(gains)
+    increments[order] = gains
+    # accumulated in walk order, one entry at a time
+    value = np.cumsum(np.concatenate((values[:1], weights[order] * gains)))[-1]
+    return float(value), SeparableFunction(d, float(values[0]), _split_levels(d, increments))
+
+
+def _walk(domain: LatticeDomain, increments: np.ndarray) -> np.ndarray:
+    """The (r+1, n) points of the lattice path from 0 raising ``increments`` in turn."""
+    steps = np.zeros((increments.size + 1, domain.n), dtype=np.int64)
+    steps[np.arange(1, increments.size + 1), increments] = 1
+    return np.cumsum(steps, axis=0)
+
+
+def _split_levels(domain: LatticeDomain, flat: np.ndarray) -> List[np.ndarray]:
+    """Per-coordinate tables from r entries in (coordinate, level) order."""
+    return np.split(flat, np.cumsum([k - 1 for k in domain.sizes])[:-1])
 
 
 class Chain:
@@ -166,20 +180,32 @@ class Chain:
 
     def __init__(self, domain: LatticeDomain, increments):
         self.domain = domain
-        self.increments = tuple(int(i) for i in increments)
-        counts = [0] * domain.n
-        pts = [domain.zero]
-        cur = list(domain.zero)
-        for i in self.increments:
-            cur[i] += 1
-            counts[i] += 1
-            pts.append(tuple(cur))
+        incs = np.asarray(increments, dtype=np.int64).reshape(-1)
+        if incs.size and (incs.min() < 0 or incs.max() >= domain.n):
+            raise ValueError(f"increment coordinates must lie in [0, {domain.n})")
+        self.increments = tuple(incs.tolist())
+        self._incs = incs
+        counts = np.bincount(incs, minlength=domain.n)
         for i, k in enumerate(domain.sizes):
             if counts[i] != k - 1:
                 raise ValueError(
                     f"coordinate {i} incremented {counts[i]} times, needs {k - 1}"
                 )
-        self.points = pts
+        self._point_array = None
+        self._points = None
+
+    def point_array(self) -> np.ndarray:
+        """The r + 1 chain points as rows of an int64 array (computed once)."""
+        if self._point_array is None:
+            self._point_array = _walk(self.domain, self._incs)
+        return self._point_array
+
+    @property
+    def points(self) -> List[tuple]:
+        """The r + 1 chain points as tuples, from 0 to k_max (computed once)."""
+        if self._points is None:
+            self._points = [tuple(p) for p in self.point_array().tolist()]
+        return self._points
 
     @property
     def length(self) -> int:
@@ -190,7 +216,7 @@ class Chain:
 
     def contains(self, y) -> bool:
         y = self.domain.require(y)
-        return self.points[self.index_of(y)] == y
+        return tuple(self.point_array()[self.index_of(y)].tolist()) == y
 
     def __repr__(self):
         return f"Chain({list(self.increments)})"
@@ -230,15 +256,11 @@ def chain_lower_bound(f: OracleFunction, y, chain: Chain) -> SeparableFunction:
         raise ValueError("chain domain does not match the function domain")
     if not chain.contains(y):
         raise ValueError(f"chain does not contain {y}; the bound would not be tight there")
-    tables = [np.zeros(k - 1) for k in d.sizes]
-    prev = f(chain.points[0])
-    constant = prev
-    for s, i in enumerate(chain.increments, start=1):
-        cur = f(chain.points[s])
-        level = chain.points[s][i]
-        tables[i][level - 1] = cur - prev
-        prev = cur
-    return SeparableFunction(d, constant, tables)
+    values = f.batch(chain.point_array())
+    gains = np.diff(values)
+    # the j-th increment of coordinate i raises it to level j
+    order = np.argsort(chain._incs, kind="stable")
+    return SeparableFunction(d, float(values[0]), _split_levels(d, gains[order]))
 
 
 def adjacent_chain_family(domain: LatticeDomain, y) -> List[Chain]:

@@ -63,6 +63,9 @@ class LatticeDomain:
         for i in range(self.n - 2, -1, -1):
             strides[i] = strides[i + 1] * sizes[i + 1]
         self._strides = tuple(strides)
+        self._k_max = np.array(self.k_max, dtype=np.int64)
+        # where coordinate i's levels start when all levels are laid end to end
+        self._level_offsets = np.cumsum((0,) + sizes[:-1])
 
     @property
     def zero(self) -> tuple:
@@ -76,6 +79,21 @@ class LatticeDomain:
         if not self.contains(x):
             raise DomainError(f"point {x} outside domain with sizes {self.sizes}")
         return x
+
+    def require_batch(self, X) -> np.ndarray:
+        """X as an (m, n) int64 array of points in the domain, else DomainError."""
+        X = np.asarray(X)
+        if X.ndim != 2 or X.shape[1] != self.n:
+            raise DomainError(f"batch of shape {X.shape} does not hold points of width {self.n}")
+        if X.dtype.kind not in "iu":
+            if X.dtype.kind != "f" or not np.all(np.floor(X) == X):
+                raise DomainError(f"batch of dtype {X.dtype} holds non-integer coordinates")
+        X = X.astype(np.int64, copy=False)
+        outside = ((X < 0) | (X > self._k_max)).any(axis=1)
+        if outside.any():
+            x = tuple(X[np.argmax(outside)].tolist())
+            raise DomainError(f"point {x} outside domain with sizes {self.sizes}")
+        return X
 
     def shift(self, x, i: int, delta: int) -> tuple:
         """x + delta * e_i, raising DomainError if the result leaves the domain."""
@@ -93,6 +111,10 @@ class LatticeDomain:
     def points(self) -> Iterator[tuple]:
         """All lattice points in row-major (lexicographic) order."""
         return itertools.product(*(range(k) for k in self.sizes))
+
+    def point_array(self) -> np.ndarray:
+        """All lattice points as rows of an (N, n) int array, in the order of ``points``."""
+        return np.indices(self.sizes).reshape(self.n, -1).T
 
     def check_cap(self, cap=None, what="operation"):
         cap = _resolve_cap(cap)
@@ -115,14 +137,25 @@ class LatticeDomain:
 class OracleFunction:
     """A real-valued function on a lattice domain, behind a counting oracle.
 
-    Every evaluation goes through ``__call__`` and bumps ``call_count`` by
-    exactly one.  The counter is lock-guarded so ensemble runners may
-    evaluate distinct points from several threads.
+    ``f(x)`` evaluates one point; ``f.batch(X)`` evaluates the rows of an
+    ``(m, n)`` integer array and returns ``m`` floats, equal bit for bit to
+    ``[f(x) for x in X]``.  Both count one call per point: ``call_count``
+    rises by 1 or by ``m``.  The counter is lock-guarded so ensemble runners
+    may evaluate distinct points from several threads.
+
+    ``fn`` takes a tuple of ints.  The optional ``batch_fn`` takes an
+    ``(m, n)`` int64 array, already validated, and returns ``m`` floats; it
+    must agree with ``fn`` row by row.  Without it, ``batch`` loops over the
+    rows and calls ``fn`` on each.  A batch is validated once, as a whole:
+    a wrong width, a non-integer entry or a point outside the domain raises
+    DomainError before anything is evaluated or counted.
     """
 
-    def __init__(self, domain: LatticeDomain, fn: Callable[[tuple], float], name: str = ""):
+    def __init__(self, domain: LatticeDomain, fn: Callable[[tuple], float], name: str = "",
+                 batch_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None):
         self.domain = domain
         self._fn = fn
+        self._batch_fn = batch_fn
         self.name = name
         self._calls = 0
         self._lock = threading.Lock()
@@ -141,22 +174,45 @@ class OracleFunction:
             self._calls += 1
         return float(self._fn(x))
 
+    def batch(self, X) -> np.ndarray:
+        """Values at the rows of X, an (m, n) array of lattice points; m calls."""
+        return self._batch(self.domain.require_batch(X))
+
+    def _batch(self, X: np.ndarray) -> np.ndarray:
+        """``batch`` for an array already validated against this domain."""
+        with self._lock:
+            self._calls += len(X)
+        if self._batch_fn is None:
+            return np.array([float(self._fn(tuple(x))) for x in X.tolist()], dtype=float)
+        values = np.asarray(self._batch_fn(X), dtype=float)
+        if values.shape != (len(X),):
+            raise ValueError(f"batch_fn returned shape {values.shape} for {len(X)} points")
+        return values
+
     # Composition helpers.  Derived oracles evaluate their parents through
     # the counting interface, so per-function call accounting stays honest.
     def __add__(self, other):
         if isinstance(other, OracleFunction):
             _same_domain(self, other)
-            return OracleFunction(self.domain, lambda x: self(x) + other(x))
-        return OracleFunction(self.domain, lambda x, c=float(other): self(x) + c)
+            return OracleFunction(self.domain, lambda x: self(x) + other(x),
+                                  batch_fn=lambda X: self._batch(X) + other._batch(X))
+        c = float(other)
+        return OracleFunction(self.domain, lambda x: self(x) + c,
+                              batch_fn=lambda X: self._batch(X) + c)
 
     def __sub__(self, other):
         if isinstance(other, OracleFunction):
             _same_domain(self, other)
-            return OracleFunction(self.domain, lambda x: self(x) - other(x))
-        return OracleFunction(self.domain, lambda x, c=float(other): self(x) - c)
+            return OracleFunction(self.domain, lambda x: self(x) - other(x),
+                                  batch_fn=lambda X: self._batch(X) - other._batch(X))
+        c = float(other)
+        return OracleFunction(self.domain, lambda x: self(x) - c,
+                              batch_fn=lambda X: self._batch(X) - c)
 
     def __mul__(self, scalar):
-        return OracleFunction(self.domain, lambda x, c=float(scalar): c * self(x))
+        c = float(scalar)
+        return OracleFunction(self.domain, lambda x: c * self(x),
+                              batch_fn=lambda X: c * self._batch(X))
 
     __rmul__ = __mul__
 
@@ -183,7 +239,9 @@ class TableFunction(OracleFunction):
                 f"table has {values.size} entries, domain has {domain.num_points} points"
             )
         self.values = values
-        super().__init__(domain, lambda x: self.values[domain.flat_index(x)], name=name)
+        strides = np.array(domain._strides, dtype=np.int64)
+        super().__init__(domain, lambda x: self.values[domain.flat_index(x)], name=name,
+                         batch_fn=lambda X: self.values[X @ strides])
 
 
 class SeparableFunction(OracleFunction):
@@ -207,7 +265,8 @@ class SeparableFunction(OracleFunction):
         self.tables = tables
         # prefixes[i][v] = sum of the first v increments of coordinate i
         self.prefixes = [np.concatenate(([0.0], np.cumsum(t))) for t in tables]
-        super().__init__(domain, self.value, name=name)
+        self._flat_prefixes = None  # built by the first values_at
+        super().__init__(domain, self.value, name=name, batch_fn=self.values_at)
 
     @classmethod
     def zero(cls, domain: LatticeDomain):
@@ -231,15 +290,18 @@ class SeparableFunction(OracleFunction):
         """Evaluate without touching the oracle counter."""
         return self.constant + sum(self.prefixes[i][x[i]] for i in range(self.domain.n))
 
+    def values_at(self, X: np.ndarray) -> np.ndarray:
+        """``value`` at each row of an (m, n) int array, summed in the same order."""
+        if self._flat_prefixes is None:
+            # all prefixes end to end; coordinate i's level v sits at offset i + v
+            self._flat_prefixes = np.concatenate(self.prefixes)
+        # cumsum adds along each row one coordinate at a time, like ``value``
+        terms = self._flat_prefixes[X + self.domain._level_offsets]
+        return self.constant + np.cumsum(terms, axis=1)[:, -1]
+
     def values_over_domain(self) -> np.ndarray:
         """Dense row-major table of all values (vectorised; does not count calls)."""
-        total = np.zeros(self.domain.num_points)
-        shape = self.domain.sizes
-        for i, pref in enumerate(self.prefixes):
-            reshape = [1] * self.domain.n
-            reshape[i] = shape[i]
-            total += np.broadcast_to(pref.reshape(reshape), shape).reshape(-1)
-        return total + self.constant
+        return self.values_at(self.domain.point_array())
 
     def argmin_tables(self):
         """Per-coordinate levels minimising each prefix curve (lowest level on ties)."""
@@ -289,7 +351,7 @@ def constant_function(domain: LatticeDomain, c: float) -> SeparableFunction:
 def table_of(f: OracleFunction, cap=None) -> np.ndarray:
     """Evaluate ``f`` at every point, row-major.  Cap-guarded."""
     f.domain.check_cap(cap, what="tabulating a function")
-    return np.array([f(x) for x in f.domain.points()])
+    return f.batch(f.domain.point_array())
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,10 @@ Function specs (the "kind" field selects one):
         the coverage side sum_j w_j * (1 - prod_i (1 - p_ij)^{x_i}); in the
         "f" slot it evaluates the cost side tradeoff * sum_i c_i(x_i).
 
+Every number must be finite: NaN and +-Infinity raise ProblemFormatError
+naming the field, and so does true/false where a number or an integer is
+expected.
+
 Auto-split problems build f and g from v with the strictly submodular
 reference quadratic; the bound on v's cross second differences is brute
 forced when not supplied (small domains only).
@@ -48,6 +52,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from typing import Optional
 
@@ -99,12 +104,33 @@ def _expect_list(obj, path, length=None):
     return obj
 
 
+def _expect_number(val, path) -> float:
+    """A finite JSON number (``true``/``false``, NaN and +-Infinity are refused)."""
+    if not isinstance(val, (int, float)) or isinstance(val, bool):
+        _fail(path, f"expected a number, got {val!r}")
+    try:
+        num = float(val)
+    except OverflowError:  # an integer beyond the float range
+        num = math.inf
+    if not math.isfinite(num):
+        _fail(path, f"expected a finite number, got {val!r}")
+    return num
+
+
 def _expect_numbers(obj, path, length=None):
     obj = _expect_list(obj, path, length)
     for idx, val in enumerate(obj):
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
+        if type(val) is not float and (not isinstance(val, (int, float))
+                                       or isinstance(val, bool)):
             _fail(f"{path}[{idx}]", f"expected a number, got {val!r}")
-    return [float(v) for v in obj]
+    try:
+        values = list(map(float, obj))
+        if math.isfinite(sum(values)):  # so no entry is NaN or infinite
+            return values
+    except OverflowError:
+        pass
+    # find the entry at fault; a sum that overflowed on finite entries passes
+    return [_expect_number(val, f"{path}[{idx}]") for idx, val in enumerate(obj)]
 
 
 def build_function(spec: dict, domain: LatticeDomain, slot: str, path: str) -> OracleFunction:
@@ -125,10 +151,8 @@ def build_function(spec: dict, domain: LatticeDomain, slot: str, path: str) -> O
             _expect_numbers(t, f"{path}.tables[{i}]", domain.sizes[i] - 1)
             for i, t in enumerate(tables)
         ]
-        constant = spec.get("constant", 0.0)
-        if not isinstance(constant, (int, float)):
-            _fail(f"{path}.constant", f"expected a number, got {constant!r}")
-        return SeparableFunction(domain, float(constant), parsed, name=f"{slot}:separable")
+        constant = _expect_number(spec.get("constant", 0.0), f"{path}.constant")
+        return SeparableFunction(domain, constant, parsed, name=f"{slot}:separable")
 
     if kind == "quadratic":
         rows = _expect_list(spec.get("A"), f"{path}.A", domain.n)
@@ -138,11 +162,9 @@ def build_function(spec: dict, domain: LatticeDomain, slot: str, path: str) -> O
             _fail(f"{path}.A", "matrix must be symmetric")
         b = np.array(_expect_numbers(spec.get("b", [0.0] * domain.n),
                                      f"{path}.b", domain.n))
-        c = spec.get("c", 0.0)
-        if not isinstance(c, (int, float)):
-            _fail(f"{path}.c", f"expected a number, got {c!r}")
+        c = _expect_number(spec.get("c", 0.0), f"{path}.c")
 
-        def eval_quad(x, A=A, b=b, c=float(c)):
+        def eval_quad(x, A=A, b=b, c=c):
             arr = np.asarray(x, dtype=float)
             return float(arr @ A @ arr + b @ arr + c)
 
@@ -163,22 +185,32 @@ def build_function(spec: dict, domain: LatticeDomain, slot: str, path: str) -> O
         _expect_numbers(r, f"{path}.cost_tables[{i}]", domain.sizes[i])
         for i, r in enumerate(cost_rows)
     ]
-    tradeoff = spec.get("tradeoff", 1.0)
-    if not isinstance(tradeoff, (int, float)):
-        _fail(f"{path}.tradeoff", f"expected a number, got {tradeoff!r}")
+    tradeoff = _expect_number(spec.get("tradeoff", 1.0), f"{path}.tradeoff")
 
     if slot == "f":
-        curves = [np.asarray(c) * float(tradeoff) for c in costs]
+        curves = [np.asarray(c) * tradeoff for c in costs]
         return SeparableFunction.from_level_values(domain, curves)
 
-    miss = 1.0 - probs  # miss[i][j]: one unit of sensor i misses region j
+    # powers[i, level, j] = (1 - p_ij)^level: the chance that `level` units
+    # of sensor i all miss region j.  Both forms below look the powers up
+    # instead of calling pow, whose last bit can depend on the array layout,
+    # and add each point's regions with the same row-wise sum (not a BLAS
+    # product, whose rounding depends on the batch shape), so a batch agrees
+    # bit for bit with one call per point.
+    levels = np.arange(max(domain.sizes), dtype=float)
+    powers = (1.0 - probs)[:, None, :] ** levels[None, :, None]
+    coords = np.arange(domain.n)
 
-    def eval_coverage(x, miss=miss, weights=weights):
-        arr = np.asarray(x, dtype=float).reshape(-1, 1)
-        undetected = np.prod(miss ** arr, axis=0)
-        return float(weights @ (1.0 - undetected))
+    def eval_coverage(x, powers=powers, weights=weights):
+        undetected = np.prod(powers[coords, x], axis=0)
+        return float(((1.0 - undetected) * weights).sum())
 
-    return OracleFunction(domain, eval_coverage, name=f"{slot}:coverage")
+    def eval_coverage_batch(X, powers=powers, weights=weights):
+        undetected = np.prod(powers[coords, X], axis=1)
+        return ((1.0 - undetected) * weights).sum(axis=1)
+
+    return OracleFunction(domain, eval_coverage, name=f"{slot}:coverage",
+                          batch_fn=eval_coverage_batch)
 
 
 def build_problem(spec: dict, validate: bool = True, cap=None):
@@ -191,7 +223,7 @@ def build_problem(spec: dict, validate: bool = True, cap=None):
     if not isinstance(spec, dict):
         _fail("$", "expected a JSON object")
     version = spec.get("version")
-    if version != SCHEMA_VERSION:
+    if version != SCHEMA_VERSION or isinstance(version, bool):
         _fail("version", f"expected {SCHEMA_VERSION}, got {version!r}")
     sizes = spec.get("sizes")
     _expect_list(sizes, "sizes")
@@ -201,7 +233,8 @@ def build_problem(spec: dict, validate: bool = True, cap=None):
     domain = LatticeDomain(sizes)
 
     budget = spec.get("budget")
-    if budget is not None and (not isinstance(budget, int) or budget < 0):
+    if budget is not None and (not isinstance(budget, int) or isinstance(budget, bool)
+                               or budget < 0):
         _fail("budget", f"expected a nonnegative integer, got {budget!r}")
     options = {"budget": budget}
 
@@ -226,8 +259,8 @@ def build_problem(spec: dict, validate: bool = True, cap=None):
         n_bound = auto.get("n_bound")
         if n_bound is None:
             n_bound, _ = second_difference_extremes(v, cap=cap)
-        elif not isinstance(n_bound, (int, float)):
-            _fail("auto_split.n_bound", f"expected a number, got {n_bound!r}")
+        else:
+            n_bound = _expect_number(n_bound, "auto_split.n_bound")
         g_ref, m_ref = reference_quadratic(domain)
         problem = ds_construct(v, g_ref, m_ref, float(n_bound),
                                validate=validate, cap=cap)

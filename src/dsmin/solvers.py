@@ -89,30 +89,32 @@ def double_greedy_maximize(g: OracleFunction):
     checked empirically by the test suite.
     """
     d = g.domain
-    a = list(d.zero)
-    b = list(d.k_max)
+    a = np.zeros(d.n, dtype=np.int64)
+    b = np.array(d.k_max, dtype=np.int64)
     for i in range(d.n):
-        ga = g(tuple(a))
-        gb = g(tuple(b))
+        # one batch per coordinate: a, b, then a and b with coordinate i at
+        # every level in (a_i, b_i] and [a_i, b_i) respectively
+        ups = np.arange(a[i] + 1, b[i] + 1)
+        downs = np.arange(a[i], b[i])
+        points = np.vstack([a, b, np.repeat(a[None], ups.size, axis=0),
+                            np.repeat(b[None], downs.size, axis=0)])
+        points[2:2 + ups.size, i] = ups
+        points[2 + ups.size:, i] = downs
+        values = g.batch(points)
+        up_gains = values[2:2 + ups.size] - values[0]
+        down_gains = values[2 + ups.size:] - values[1]
         best_up_gain, best_up_level = 0.0, a[i]
         best_down_gain, best_down_level = 0.0, b[i]
-        for level in range(a[i], b[i] + 1):
-            if level != a[i]:
-                cand = list(a)
-                cand[i] = level
-                gain = g(tuple(cand)) - ga
-                if gain > best_up_gain:
-                    best_up_gain, best_up_level = gain, level
-            if level != b[i]:
-                cand = list(b)
-                cand[i] = level
-                gain = g(tuple(cand)) - gb
-                if gain > best_down_gain:
-                    best_down_gain, best_down_level = gain, level
+        for level, gain in zip(ups.tolist(), up_gains.tolist()):
+            if gain > best_up_gain:
+                best_up_gain, best_up_level = gain, level
+        for level, gain in zip(downs.tolist(), down_gains.tolist()):
+            if gain > best_down_gain:
+                best_down_gain, best_down_level = gain, level
         chosen = best_up_level if best_up_gain >= best_down_gain else best_down_level
         a[i] = chosen
         b[i] = chosen
-    point = tuple(a)
+    point = tuple(a.tolist())
     return point, g(point)
 
 
@@ -177,18 +179,18 @@ class SfmResult:
 def _round_profile(f: OracleFunction, profile: Profile):
     """Best lattice point among the threshold roundings of ``profile``.
 
-    Evaluates x(t) at every distinct breakpoint t; the best of these never
-    exceeds the extension value at profile, because the extension is an average
-    of exactly these points.
+    Evaluates x(t) at every distinct breakpoint t, in one batch; the best of
+    these never exceeds the extension value at profile, because the extension
+    is an average of exactly these points.  Ties go to the smallest point.
     """
+    points = profile.points_at(profile.breakpoints())
+    # x(t) falls as t rises, so equal points are adjacent; keep the first of each run
+    distinct = np.ones(len(points), dtype=bool)
+    distinct[1:] = (points[1:] != points[:-1]).any(axis=1)
+    points = points[distinct]
     best_point, best_value = None, math.inf
-    seen = set()
-    for t in profile.breakpoints():
-        x = profile.point_at(float(t))
-        if x in seen:
-            continue
-        seen.add(x)
-        val = f(x)
+    for x, val in zip(points.tolist(), f.batch(points).tolist()):
+        x = tuple(x)
         if val < best_value or (val == best_value and x < best_point):
             best_point, best_value = x, val
     return best_point, best_value
@@ -220,8 +222,8 @@ def minimize_submodular(f: OracleFunction, method: str = "brute_force",
         step0 = float(opts.step_scale)
     else:
         walk = chain_containing(d, d.zero)
-        vals = [f(p) for p in walk.points]
-        spread = max(vals) - min(vals)
+        vals = f.batch(walk.point_array())
+        spread = float(vals.max() - vals.min())
         step0 = 0.5 * (spread if spread > 0 else 1.0) / math.sqrt(r)
 
     profile = Profile.constant(d, 0.5)

@@ -1,0 +1,357 @@
+"""Batched oracle evaluation: ``f.batch(X)`` against one call per row.
+
+For every oracle kind a batch must return the scalar values bit for bit and
+count one call per row; a bad batch must raise DomainError and count nothing.
+The layers that evaluate known point sets in one batch are checked against
+scalar references (the per-point loops they replaced) for equal results and
+equal call counts.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dsmin as d
+from conftest import coverage_function, quadratic_submodular
+
+sizes_st = st.lists(st.integers(2, 5), min_size=1, max_size=4)
+
+
+def _coverage_g(sizes, seed):
+    spec = d.generate_ensemble("coverage", {"count": 1, "sizes": sizes, "regions": 5},
+                               seed=seed)[0]
+    problem, _ = d.build_problem(spec, validate=False)
+    return problem
+
+
+def _kinds(sizes, seed):
+    """(label, oracle, parents) for every kind of oracle, with or without a batch form."""
+    rng = np.random.default_rng(seed)
+    dom = d.LatticeDomain(sizes)
+    table = d.TableFunction(dom, rng.normal(size=dom.num_points))
+    sep = d.SeparableFunction(dom, float(rng.normal()),
+                              [rng.normal(size=k - 1) for k in sizes])
+    n = len(sizes)
+    A = rng.normal(size=(n, n))
+    quad = d.build_function({"kind": "quadratic", "A": (A + A.T).tolist(),
+                             "b": rng.normal(size=n).tolist(), "c": 0.5},
+                            dom, "f", "f")
+    problem = _coverage_g(sizes, seed)
+    cov = problem.g
+    user = d.OracleFunction(dom, lambda x: math.sqrt(sum(x)) - 0.1 * x[0])
+    residual = d.dr_split(cov, 0.75).residual
+    return [
+        ("table", table, []),
+        ("separable", sep, []),
+        ("quadratic", quad, []),
+        ("coverage_g", cov, []),
+        ("coverage_f", problem.f, []),
+        ("user", user, []),
+        ("sum", cov + table, [cov, table]),
+        ("difference", quad - sep, [quad, sep]),
+        ("plus_constant", cov + 1.25, [cov]),
+        ("minus_constant", table - 0.3, [table]),
+        ("scaled", 2.5 * quad, [quad]),
+        ("negated", -cov, [cov]),
+        ("dr_residual", residual, [cov]),
+        ("min_marginal_part", d.min_marginal_decomposition(residual).monotone_part, [residual]),
+        ("harmonic_part", d.harmonic_decomposition(table).monotone_part, [table]),
+        ("v_oracle", problem.v_oracle(), [problem.f, problem.g]),
+    ]
+
+
+def _rows(sizes, m, seed):
+    return np.random.default_rng(seed + 1).integers(0, sizes, size=(m, len(sizes)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes=sizes_st, m=st.integers(0, 12), seed=st.integers(0, 10**6))
+def test_batch_equals_scalar_bitwise_and_counts_rows(sizes, m, seed):
+    X = _rows(sizes, m, seed)
+    for label, fn, parents in _kinds(sizes, seed):
+        before = fn.call_count
+        parents_before = [p.call_count for p in parents]
+        got = fn.batch(X)
+        assert fn.call_count - before == m, label
+        assert [p.call_count - c for p, c in zip(parents, parents_before)] == [m] * len(parents)
+        expected = np.array([fn(tuple(x)) for x in X.tolist()], dtype=float)
+        assert got.shape == (m,) and got.dtype == np.float64, label
+        assert got.tobytes() == expected.tobytes(), label
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_batch_seeded_wide_coverage(seed):
+    """Long rows, many regions: the coverage sum must not depend on the batch shape."""
+    sizes = (6,) * 40
+    problem = _coverage_g(sizes, seed)
+    X = _rows(sizes, 81, seed)
+    for fn in (problem.f, problem.g, problem.v_oracle()):
+        scalar = np.array([fn(tuple(x)) for x in X.tolist()])
+        assert fn.batch(X).tobytes() == scalar.tobytes()
+        assert fn.batch(X[:7]).tobytes() == scalar[:7].tobytes()
+
+
+def test_batch_accepts_lists_and_integral_floats():
+    fn = coverage_function(0, sizes=(3, 3))
+    rows = [[0, 1], [2, 2]]
+    expected = [fn((0, 1)), fn((2, 2))]
+    assert fn.batch(rows).tolist() == expected
+    assert fn.batch(np.array(rows, dtype=float)).tolist() == expected
+    assert fn.batch(np.zeros((0, 2), dtype=int)).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [
+    [[0, 3]],                      # level above the domain
+    [[-1, 0]],                     # negative level
+    [[0, 1], [1, 0], [2, 5]],      # one bad row among good ones
+    [[0, 1, 0]],                   # wrong width
+    [0, 1],                        # not a 2-D array
+    np.array([[0.5, 1.0]]),        # non-integer coordinate
+    np.array([[np.nan, 1.0]]),
+    np.array([[True, False]]),
+])
+def test_bad_batch_raises_and_counts_nothing(bad):
+    dom = d.LatticeDomain([3, 3])
+    base = d.TableFunction(dom, np.arange(9.0))
+    composite = base - 1.0
+    with pytest.raises(d.DomainError):
+        composite.batch(bad)
+    assert composite.call_count == 0 and base.call_count == 0
+
+
+def test_batch_fn_with_wrong_length_is_refused():
+    fn = d.OracleFunction(d.LatticeDomain([3]), lambda x: 0.0, batch_fn=lambda X: np.zeros(1))
+    with pytest.raises(ValueError, match="shape"):
+        fn.batch([[0], [1]])
+
+
+def test_table_of_is_one_batch_in_row_major_order():
+    fn = quadratic_submodular(4, sizes=(3, 2, 4))[0]
+    table = d.table_of(fn)
+    assert fn.call_count == fn.domain.num_points
+    assert table.tolist() == [fn(x) for x in fn.domain.points()]
+    with pytest.raises(d.CapExceededError):
+        d.table_of(fn, cap=10)
+
+
+# ---------------------------------------------------------------------------
+# Layers: scalar references of the per-point loops the batches replaced
+# ---------------------------------------------------------------------------
+
+def _ref_dr_upper_bound(h, x, variant):
+    dom = h.domain
+
+    def axis(i, level):
+        return tuple(level if j == i else 0 for j in range(dom.n))
+
+    def top(i, level):
+        return tuple(level if j == i else k for j, k in enumerate(dom.k_max))
+
+    hx = h(x)
+    h0 = h(dom.zero) if variant == "grow1" else None
+    htop = h(dom.k_max) if variant == "grow2" else None
+    contribs = []
+    for i, k in enumerate(dom.sizes):
+        phi = np.zeros(k)
+        for level in range(k):
+            if level == x[i]:
+                continue
+            if level < x[i]:
+                if variant in ("grow1", "tight1"):
+                    phi[level] = -(hx - h(dom.shift(x, i, level - x[i])))
+                elif variant == "grow2":
+                    phi[level] = -(htop - h(top(i, k - 1 - (x[i] - level))))
+                else:
+                    phi[level] = h(top(i, level)) - h(top(i, x[i]))
+            elif variant == "grow1":
+                phi[level] = h(axis(i, level - x[i])) - h0
+            elif variant == "tight1":
+                phi[level] = h(axis(i, level)) - h(axis(i, x[i]))
+            else:
+                phi[level] = h(dom.shift(x, i, level - x[i])) - hx
+        contribs.append(phi)
+    return hx + sum(float(p[0]) for p in contribs), [np.diff(p) for p in contribs]
+
+
+def _ref_double_greedy(g):
+    dom = g.domain
+    a, b = list(dom.zero), list(dom.k_max)
+    for i in range(dom.n):
+        ga, gb = g(tuple(a)), g(tuple(b))
+        up_gain, up_level, down_gain, down_level = 0.0, a[i], 0.0, b[i]
+        for level in range(a[i], b[i] + 1):
+            if level != a[i]:
+                gain = g(tuple(a[:i] + [level] + a[i + 1:])) - ga
+                if gain > up_gain:
+                    up_gain, up_level = gain, level
+            if level != b[i]:
+                gain = g(tuple(b[:i] + [level] + b[i + 1:])) - gb
+                if gain > down_gain:
+                    down_gain, down_level = gain, level
+        a[i] = b[i] = up_level if up_gain >= down_gain else down_level
+    return tuple(a), g(tuple(a))
+
+
+def _ref_greedy_extension(f, profile):
+    dom = f.domain
+    entries = sorted(((v[j - 1], i, j) for i, v in enumerate(profile.levels)
+                      for j in range(1, v.size + 1)), key=lambda e: (-e[0], e[1], e[2]))
+    y = list(dom.zero)
+    prev = value = f0 = f(tuple(y))
+    tables = [np.zeros(k - 1) for k in dom.sizes]
+    for t, i, j in entries:
+        y[i] += 1
+        cur = f(tuple(y))
+        tables[i][j - 1] = cur - prev
+        value += t * (cur - prev)
+        prev = cur
+    return value, f0, tables
+
+
+def _counted(fn):
+    """A counting copy of fn, so a reference run leaves fn's counter alone."""
+    return d.OracleFunction(fn.domain, lambda x: fn._fn(x))
+
+
+def _assert_separable(s, constant, tables):
+    assert s.constant == constant
+    for got, want in zip(s.tables, tables):
+        assert got.tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(sizes=sizes_st, seed=st.integers(0, 10**6), variant=st.sampled_from(d.UB_VARIANTS))
+def test_dr_upper_bound_matches_reference_and_call_count(sizes, seed, variant):
+    problem = _coverage_g(sizes, seed)
+    h = d.dr_split(problem.g, 0.5).residual
+    x = tuple(np.random.default_rng(seed).integers(0, sizes).tolist())
+    ref = _counted(h)
+    constant, tables = _ref_dr_upper_bound(ref, x, variant)
+    bound = d.dr_upper_bound(h, x, variant)
+    _assert_separable(bound, constant, tables)
+    assert h.call_count == ref.call_count
+    off = sum(k - 1 for k in sizes)
+    above = sum(k - 1 - c for k, c in zip(sizes, x))
+    expected = {"grow1": 2 + off, "grow2": 2 + off,
+                "tight1": 1 + off + above, "tight2": 1 + off + sum(x)}[variant]
+    assert h.call_count == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(sizes=sizes_st, seed=st.integers(0, 10**6))
+def test_double_greedy_matches_reference_and_call_count(sizes, seed):
+    problem = _coverage_g(sizes, seed)
+    rng = np.random.default_rng(seed)
+    g = problem.g - d.SeparableFunction(problem.domain, 0.0,
+                                        [rng.uniform(0, 0.6, size=k - 1) for k in sizes])
+    ref = _counted(g)
+    assert d.double_greedy_maximize(g) == _ref_double_greedy(ref)
+    assert g.call_count == ref.call_count == sum(2 * k for k in sizes) + 1
+
+
+def test_double_greedy_ties_keep_scalar_order():
+    g = d.OracleFunction(d.LatticeDomain([4, 4]), lambda x: 0.0)
+    ref = _counted(g)
+    assert d.double_greedy_maximize(g) == _ref_double_greedy(ref) == ((0, 0), 0.0)
+    flat = d.TableFunction(d.LatticeDomain([4]), [0.0, 1.0, 1.0, 0.0])
+    assert d.double_greedy_maximize(flat) == _ref_double_greedy(_counted(flat))
+
+
+@settings(max_examples=30, deadline=None)
+@given(sizes=sizes_st, seed=st.integers(0, 10**6), tie=st.booleans())
+def test_greedy_extension_matches_reference(sizes, seed, tie):
+    problem = _coverage_g(sizes, seed)
+    f = problem.v_oracle()
+    rng = np.random.default_rng(seed)
+    # rounded weights make ties across coordinates likely
+    levels = [np.sort(rng.uniform(size=k - 1))[::-1] for k in sizes]
+    if tie:
+        levels = [np.round(v, 1) for v in levels]
+    profile = d.Profile(problem.domain, levels)
+    ref = _counted(f)
+    value, f0, tables = _ref_greedy_extension(ref, profile)
+    got, weights = d.greedy_extension(f, profile)
+    assert got == value
+    _assert_separable(weights, f0, tables)
+    assert f.call_count == ref.call_count == profile.entry_count() + 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(sizes=sizes_st, seed=st.integers(0, 10**6))
+def test_chain_lower_bound_matches_reference(sizes, seed):
+    problem = _coverage_g(sizes, seed)
+    y = tuple(np.random.default_rng(seed).integers(0, sizes).tolist())
+    chain = d.chain_containing(problem.domain, y, mode="randomized", seed=seed)
+    values = [problem.g(p) for p in chain.points]
+    bound = d.chain_lower_bound(problem.g, y, chain)
+    tables = [np.zeros(k - 1) for k in sizes]
+    for s, i in enumerate(chain.increments, start=1):
+        tables[i][chain.points[s][i] - 1] = values[s] - values[s - 1]
+    _assert_separable(bound, values[0], tables)
+    assert problem.g.call_count == 2 * (chain.length + 1)
+
+
+def _ref_round_profile(f, profile):
+    best_point, best_value, seen = None, math.inf, set()
+    for t in profile.breakpoints():
+        x = tuple(d.level_at(v, float(t)) for v in profile.levels)
+        if x not in seen:
+            seen.add(x)
+            val = f(x)
+            if val < best_value or (val == best_value and x < best_point):
+                best_point, best_value = x, val
+    return best_point, best_value
+
+
+@settings(max_examples=30, deadline=None)
+@given(sizes=sizes_st, seed=st.integers(0, 10**6), digits=st.sampled_from([1, 2, 8]))
+def test_round_profile_matches_reference(sizes, seed, digits):
+    problem = _coverage_g(sizes, seed)
+    # a constant v makes every rounding tie, so the smallest point must win
+    for f in (problem.v_oracle(), problem.g - problem.g):
+        rng = np.random.default_rng(seed)
+        levels = [np.round(np.sort(rng.uniform(size=k - 1))[::-1], digits) for k in sizes]
+        profile = d.Profile(problem.domain, levels)
+        ref = _counted(f)
+        assert d.solvers._round_profile(f, profile) == _ref_round_profile(ref, profile)
+        assert f.call_count == ref.call_count
+
+
+def test_points_at_matches_level_at_and_checks_thresholds():
+    profile = d.Profile(d.LatticeDomain([4, 3]), [[0.9, 0.5, 0.5], [1.0, 0.2]])
+    ts = [0.1, 0.2, 0.5, 0.7, 1.0]
+    assert profile.points_at(ts).tolist() == [
+        [d.level_at(v, t) for v in profile.levels] for t in ts]
+    assert profile.point_at(0.5) == (3, 1)
+    for bad in (0.0, 1.5, math.nan):
+        with pytest.raises(ValueError, match="threshold"):
+            profile.points_at([0.5, bad])
+
+
+@pytest.mark.parametrize("budget", [None, 3])
+def test_certificate_one_call_per_feasible_neighbour(budget):
+    problem = _coverage_g((3, 4, 2), 5)
+    x = (1, 3, 0)
+    cert = d.certify_local_minimum(problem, x, budget=budget)
+    expected = [p for p in [(2, 3, 0), (0, 3, 0), (1, 2, 0), (1, 3, 1)]
+                if budget is None or sum(p) <= budget]
+    assert [p for p, _ in cert.neighbors] == expected
+    assert problem.f.call_count == problem.g.call_count == len(expected) + 1
+    assert cert.value == problem.v(x)
+    for point, value in cert.neighbors:
+        assert value == problem.v(point)
+
+
+def test_chain_validates_increments_without_points():
+    dom = d.LatticeDomain([3, 2])
+    with pytest.raises(ValueError, match="coordinate 0 incremented 1 times, needs 2"):
+        d.Chain(dom, [0, 1, 1])
+    with pytest.raises(ValueError, match="increment coordinates"):
+        d.Chain(dom, [0, 0, 2])
+    chain = d.Chain(dom, [1, 0, 0])
+    assert chain.point_array().tolist() == [[0, 0], [0, 1], [1, 1], [2, 1]]
+    assert chain.points == [(0, 0), (0, 1), (1, 1), (2, 1)]
+    assert chain.contains((1, 1)) and not chain.contains((1, 0))

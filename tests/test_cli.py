@@ -80,6 +80,19 @@ class TestSolve:
         record = json.loads(err.splitlines()[-1])
         assert record["error"]["type"] == "ProblemValidationError"
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_value_exit_2_without_certificate(self, toy_file, tmp_path, capsys, bad):
+        spec = json.loads(open(toy_file).read())
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec).replace("1.0, 1.0]", f"{bad}, 1.0]", 1))
+        assert cli_run(["solve", str(path)]) == 2
+        captured = capsys.readouterr()
+        record = json.loads(captured.err.splitlines()[-1])
+        assert record["error"]["type"] == "ProblemFormatError"
+        assert record["error"]["message"].startswith("g.tables[0][0]: expected a finite number")
+        assert "certified_local_min" not in captured.out
+        assert "status" not in captured.out
+
     def test_missing_file_exit_2(self, capsys):
         assert cli_run(["solve", "/nonexistent/problem.json"]) == 2
 

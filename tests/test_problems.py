@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -110,6 +111,88 @@ class TestBuildProblem:
         assert err.value.witness is not None
         problem, _ = d.build_problem(spec, validate=False)
         assert problem.f((2, 2)) == 4.0
+
+
+def _coverage_spec():
+    block = {"kind": "coverage_tradeoff", "probs": [[0.5, 0.2], [0.1, 0.4]],
+             "weights": [1.0, 2.0], "cost_tables": [[0.0, 1.0, 1.5], [0.0, 0.5, 0.8]],
+             "tradeoff": 2.0}
+    return {"version": 1, "sizes": [3, 3], "f": copy.deepcopy(block), "g": block}
+
+
+def _quadratic_spec():
+    return {"version": 1, "sizes": [3, 3],
+            "f": {"kind": "quadratic", "A": [[0.0, -1.0], [-1.0, 0.0]], "b": [0.0, 0.0],
+                  "c": 0.0},
+            "g": {"kind": "separable", "constant": 0.0, "tables": [[1.0, 1.0], [1.0, 1.0]]}}
+
+
+def _autosplit_spec():
+    return {"version": 1, "sizes": [3, 3], "v": {"kind": "table", "values": [0.0] * 9},
+            "auto_split": {"n_bound": 1.0}}
+
+
+def _set(spec, path, value):
+    """Replace the entry at a JSON path such as ["f", "values", 3]."""
+    target = spec
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return spec
+
+
+# (spec builder, path to the number replaced, field path named by the error)
+NUMERIC_FIELDS = [
+    (sqrt_table_spec, ["f", "values", 3], r"f\.values\[3\]"),
+    (sqrt_table_spec, ["g", "tables", 1, 0], r"g\.tables\[1\]\[0\]"),
+    (sqrt_table_spec, ["g", "constant"], r"g\.constant"),
+    (_quadratic_spec, ["f", "A", 0, 1], r"f\.A\[0\]\[1\]"),
+    (_quadratic_spec, ["f", "b", 1], r"f\.b\[1\]"),
+    (_quadratic_spec, ["f", "c"], r"f\.c"),
+    (_coverage_spec, ["g", "probs", 1, 0], r"g\.probs\[1\]\[0\]"),
+    (_coverage_spec, ["g", "weights", 0], r"g\.weights\[0\]"),
+    (_coverage_spec, ["f", "cost_tables", 0, 2], r"f\.cost_tables\[0\]\[2\]"),
+    (_coverage_spec, ["f", "tradeoff"], r"f\.tradeoff"),
+    (_autosplit_spec, ["auto_split", "n_bound"], r"auto_split\.n_bound"),
+]
+
+
+class TestHostileNumbers:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400])
+    @pytest.mark.parametrize("build, path, field", NUMERIC_FIELDS)
+    def test_non_finite_rejected_with_field_path(self, build, path, field, bad):
+        with pytest.raises(d.ProblemFormatError, match=field + ": expected a finite number"):
+            d.build_problem(_set(build(), path, bad))
+
+    @pytest.mark.parametrize("build, path, field", NUMERIC_FIELDS)
+    def test_bool_rejected_as_number(self, build, path, field):
+        with pytest.raises(d.ProblemFormatError, match=field + ": expected a number"):
+            d.build_problem(_set(build(), path, True))
+
+    def test_finite_values_whose_sum_overflows_accepted(self):
+        spec = sqrt_table_spec()
+        spec["f"]["values"][:2] = [1e308, 1e308]
+        problem, _ = d.build_problem(spec, validate=False)
+        assert problem.f((0, 1)) == 1e308
+
+    def test_non_finite_from_json_text(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(sqrt_table_spec()).replace("[[1.0", "[[NaN", 1))
+        with pytest.raises(d.ProblemFormatError, match=r"g\.tables\[0\]\[0\]"):
+            d.parse_problem(path)
+
+    @pytest.mark.parametrize("field", ["budget", "version"])
+    def test_bool_rejected_as_integer(self, field):
+        spec = sqrt_table_spec()
+        spec[field] = True
+        with pytest.raises(d.ProblemFormatError, match=field):
+            d.build_problem(spec)
+
+    def test_integer_budget_still_accepted(self):
+        spec = sqrt_table_spec()
+        spec["budget"] = 1
+        _, options = d.build_problem(spec)
+        assert options["budget"] == 1
 
 
 class TestRoundTrip:
