@@ -167,13 +167,11 @@ def certify_local_minimum(p: DsProblem, x, tol: float = DESCENT_TOL,
     points = points[feasible]
     values = (p.f.batch(points) - p.g.batch(points)).tolist()
     vx = values[0]
-    neighbors = []
-    best = None
-    for nbr, vn in zip(points[1:].tolist(), values[1:]):
-        nbr = tuple(nbr)
-        neighbors.append((nbr, vn))
-        if vn < vx - tol and (best is None or vn < best[1]):
-            best = (nbr, vn)
+    neighbors = [(tuple(nbr), vn) for nbr, vn in zip(points[1:].tolist(), values[1:])]
+    # the first lowest neighbour descends, or none does
+    best = neighbors[int(np.argmin(values[1:]))] if neighbors else None
+    if best is not None and not best[1] < vx - tol:
+        best = None
     return Certificate(best is None, x, vx, neighbors, best,
                        adjacent_chain_family(d, x))
 

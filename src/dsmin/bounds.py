@@ -36,11 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (
-    OracleFunction,
-    SeparableFunction,
-    second_difference_within,
-)
+from .lattice import OracleFunction, SeparableFunction, _Tabulation
 
 UB_VARIANTS = ("grow1", "grow2", "tight1", "tight2")
 
@@ -59,15 +55,9 @@ def dr_violation(f: OracleFunction, cap=None) -> float:
 
     0 means f is already DR-submodular.  Brute force; cap-guarded.
     """
-    d = f.domain
-    d.check_cap(cap, what="dr_violation")
-    worst = 0.0
-    for x in d.points():
-        for i in range(d.n):
-            if x[i] + 2 > d.sizes[i] - 1:
-                continue
-            worst = max(worst, second_difference_within(f, x, i))
-    return worst
+    table = _Tabulation(f, cap, "dr_violation")
+    worst, _, _ = table.first_extremum(table.within(), "within")
+    return max(0.0, worst)
 
 
 def dr_violation_quadratic(A) -> float:

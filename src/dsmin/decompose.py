@@ -31,12 +31,11 @@ from .lattice import (
     OracleFunction,
     SeparableFunction,
     Verdict,
-    Witness,
+    _Tabulation,
     check_dr,
     check_monotone,
     check_submodular,
     constant_function,
-    second_difference_cross,
 )
 from .bounds import dr_split, dr_violation
 from .solvers import SfmResult, minimize_submodular
@@ -211,22 +210,10 @@ def additive_lower_bounds(p: DsProblem, cap=None, sfm_method: str = "brute_force
 
 def second_difference_extremes(v: OracleFunction, cap=None):
     """Largest |cross second difference| of v and its location.  Cap-guarded."""
-    d = v.domain
-    d.check_cap(cap, what="second_difference_extremes")
-    best = 0.0
-    wit = None
-    for x in d.points():
-        for i in range(d.n - 1):
-            if x[i] + 1 > d.sizes[i] - 1:
-                continue
-            for j in range(i + 1, d.n):
-                if x[j] + 1 > d.sizes[j] - 1:
-                    continue
-                val = abs(second_difference_cross(v, x, i, j))
-                if val > best:
-                    best = val
-                    wit = Witness(x, i, j, val, "cross_abs")
-    return best, wit
+    table = _Tabulation(v, cap, "second_difference_extremes")
+    cross = ((axes, np.abs(D)) for axes, D in table.cross())
+    best, wit, _ = table.first_extremum(cross, "cross_abs")
+    return (best, wit) if best > 0.0 else (0.0, None)
 
 
 def reference_quadratic(domain: LatticeDomain):

@@ -35,6 +35,7 @@ from .lattice import (
     SeparableFunction,
     Verdict,
     Witness,
+    _Tabulation,
 )
 
 PROFILE_TOL = 1e-9
@@ -303,17 +304,18 @@ def base_vertex_check(f: OracleFunction, weights: SeparableFunction,
     increment tables matter.
     """
     d = f.domain
-    d.check_cap(cap, what="base_vertex_check")
-    f0 = f(d.zero)
-    checked = 0
-    for x in d.points():
-        lhs = sum(weights.prefixes[i][x[i]] for i in range(d.n))
-        rhs = f(x) - f0
-        checked += 1
-        if lhs > rhs + tol:
-            return Verdict(False, Witness(x, -1, None, lhs - rhs, "base_inequality"), checked)
-    top = sum(weights.prefixes[i][d.sizes[i] - 1] for i in range(d.n))
-    gap = abs(top - (f(d.k_max) - f0))
+    values = _Tabulation(f, cap, "base_vertex_check").values
+    lhs = np.zeros(d.sizes)  # sum_i prefixes[i][x_i], added coordinate by coordinate from 0
+    for i, prefix in enumerate(weights.prefixes):
+        lhs += prefix.reshape([-1 if a == i else 1 for a in range(d.n)])
+    rhs = values - values[d.zero]
+    violated = (lhs > rhs + tol).reshape(-1)
+    if violated.any():
+        k = int(np.argmax(violated))  # the first violation, row-major
+        x = tuple(int(c) for c in np.unravel_index(k, d.sizes))
+        wit = Witness(x, -1, None, float(lhs[x] - rhs[x]), "base_inequality")
+        return Verdict(False, wit, k + 1)
+    gap = float(abs(lhs[d.k_max] - rhs[d.k_max]))
     if gap > tol:
-        return Verdict(False, Witness(d.k_max, -1, None, gap, "base_equality"), checked)
-    return Verdict(True, None, checked)
+        return Verdict(False, Witness(d.k_max, -1, None, gap, "base_equality"), d.num_points)
+    return Verdict(True, None, d.num_points)

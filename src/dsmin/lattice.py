@@ -15,12 +15,16 @@ Conventions used throughout the package:
   - Checkers use an absolute tolerance of 1e-9; problem magnitudes in the
     bundled generators are O(10^2) at most.
 
-Enumerating checkers refuse domains larger than a configurable point cap
-(default 10^6) instead of silently running for hours.
+Brute-force operations (these checkers, ``dr_violation``,
+``second_difference_extremes``, ``base_vertex_check``,
+``brute_force_minimize``) cost one tabulation of N oracle calls plus array
+work.  They refuse domains above a configurable point cap (default 10^6)
+instead of silently running for hours.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import threading
@@ -75,10 +79,17 @@ class LatticeDomain:
         return len(x) == self.n and all(0 <= x[i] <= self.sizes[i] - 1 for i in range(self.n))
 
     def require(self, x) -> tuple:
-        x = tuple(int(c) for c in x)
-        if not self.contains(x):
-            raise DomainError(f"point {x} outside domain with sizes {self.sizes}")
-        return x
+        """x as a tuple of ints in the domain; fractional coordinates raise DomainError."""
+        x = tuple(x)
+        try:
+            y = tuple(int(c) for c in x)
+        except (TypeError, ValueError, OverflowError):  # NaN, infinity, not a number
+            y = None
+        if y != x:
+            raise DomainError(f"point {x} has non-integer coordinates")
+        if not self.contains(y):
+            raise DomainError(f"point {y} outside domain with sizes {self.sizes}")
+        return y
 
     def require_batch(self, X) -> np.ndarray:
         """X as an (m, n) int64 array of points in the domain, else DomainError."""
@@ -148,7 +159,8 @@ class OracleFunction:
     must agree with ``fn`` row by row.  Without it, ``batch`` loops over the
     rows and calls ``fn`` on each.  A batch is validated once, as a whole:
     a wrong width, a non-integer entry or a point outside the domain raises
-    DomainError before anything is evaluated or counted.
+    DomainError before anything is evaluated or counted.  A non-finite value
+    raises ValueError naming the oracle and the first point that gave it.
     """
 
     def __init__(self, domain: LatticeDomain, fn: Callable[[tuple], float], name: str = "",
@@ -172,7 +184,10 @@ class OracleFunction:
         x = self.domain.require(x)
         with self._lock:
             self._calls += 1
-        return float(self._fn(x))
+        value = float(self._fn(x))
+        if not math.isfinite(value):
+            raise ValueError(f"{self!r} returned {value} at point {x}")
+        return value
 
     def batch(self, X) -> np.ndarray:
         """Values at the rows of X, an (m, n) array of lattice points; m calls."""
@@ -183,10 +198,15 @@ class OracleFunction:
         with self._lock:
             self._calls += len(X)
         if self._batch_fn is None:
-            return np.array([float(self._fn(tuple(x))) for x in X.tolist()], dtype=float)
-        values = np.asarray(self._batch_fn(X), dtype=float)
-        if values.shape != (len(X),):
-            raise ValueError(f"batch_fn returned shape {values.shape} for {len(X)} points")
+            values = np.array([float(self._fn(tuple(x))) for x in X.tolist()], dtype=float)
+        else:
+            values = np.asarray(self._batch_fn(X), dtype=float)
+            if values.shape != (len(X),):
+                raise ValueError(f"batch_fn returned shape {values.shape} for {len(X)} points")
+        # a sum of squares is finite if every value is, unless it overflows
+        if not math.isfinite(values.dot(values)) and not np.isfinite(values).all():
+            k = int(np.argmin(np.isfinite(values)))
+            raise ValueError(f"{self!r} returned {values[k]} at point {tuple(X[k].tolist())}")
         return values
 
     # Composition helpers.  Derived oracles evaluate their parents through
@@ -240,8 +260,9 @@ class TableFunction(OracleFunction):
             )
         self.values = values
         strides = np.array(domain._strides, dtype=np.int64)
-        super().__init__(domain, lambda x: self.values[domain.flat_index(x)], name=name,
-                         batch_fn=lambda X: self.values[X @ strides])
+        # closing over the array, not self, leaves no cycle to delay freeing a dropped table
+        super().__init__(domain, lambda x: values[domain.flat_index(x)], name=name,
+                         batch_fn=lambda X: values[X @ strides])
 
 
 class SeparableFunction(OracleFunction):
@@ -350,8 +371,68 @@ def constant_function(domain: LatticeDomain, c: float) -> SeparableFunction:
 
 def table_of(f: OracleFunction, cap=None) -> np.ndarray:
     """Evaluate ``f`` at every point, row-major.  Cap-guarded."""
-    f.domain.check_cap(cap, what="tabulating a function")
-    return f.batch(f.domain.point_array())
+    return _Tabulation(f, cap, "tabulating a function").values.reshape(-1)
+
+
+class _Tabulation:
+    """``f`` tabulated once (cap check, then N calls), and its differences.
+
+    ``cross``, ``within`` and ``marginals`` yield ``((i, j), D)`` per pair of
+    coordinates or ``((i, None), D)`` per coordinate: ``D[x]`` is the
+    difference at each x where it is defined, bit for bit equal to its scalar
+    formula.  Memory stays O(N): slices come one at a time, and batches of
+    ``_ROWS`` points bound a kernel's per-point temporaries (coverage: n * regions).
+    """
+
+    _ROWS = 1024
+
+    def __init__(self, f: OracleFunction, cap, what: str):
+        d = f.domain
+        d.check_cap(cap, what=what)
+        blocks = np.split(np.arange(d.num_points), range(self._ROWS, d.num_points, self._ROWS))
+        self.values = np.concatenate([f.batch(np.stack(np.unravel_index(b, d.sizes), axis=1))
+                                      for b in blocks]).reshape(d.sizes)
+
+    def _at(self, reach, *steps):
+        """f(x + sum of e_a over steps) at every x with x + sum of e_a over reach in the domain."""
+        return self.values[tuple(slice(steps.count(a), k - reach.count(a) + steps.count(a))
+                                 for a, k in enumerate(self.values.shape))]
+
+    def cross(self):
+        for i, j in itertools.combinations(range(self.values.ndim), 2):
+            at = functools.partial(self._at, (i, j))
+            yield (i, j), ((at(i, j) - at(i)) - at(j)) + at()
+
+    def within(self):
+        for i in range(self.values.ndim):
+            at = functools.partial(self._at, (i, i))
+            yield (i, None), (at(i, i) - 2.0 * at(i)) + at()
+
+    def marginals(self):
+        for i in range(self.values.ndim):
+            at = functools.partial(self._at, (i,))
+            yield (i, None), at(i) - at()
+
+    def first_extremum(self, slices, kind: str, lowest: bool = False) -> tuple:
+        """(value, witness, count of entries) of the largest entry, or the smallest.
+
+        Ties go to the first entry in scan order (x row-major, then the slices
+        in order), as in a scan that replaces its best only on a strict
+        improvement.  With no entries: -inf (inf when ``lowest``) and None.
+        """
+        found = []  # (value, row-major rank of x, x, axes), one per nonempty slice
+        count = 0
+        for axes, D in slices:
+            count += D.size
+            if D.size:
+                x = np.unravel_index(D.argmin() if lowest else D.argmax(), D.shape)
+                found.append((float(D[x]), np.ravel_multi_index(x, self.values.shape),
+                              tuple(int(c) for c in x), axes))
+        if not found:
+            return (math.inf if lowest else -math.inf), None, count
+        values, ranks = np.array([entry[:2] for entry in found]).T
+        value, _, x, axes = found[np.lexsort((ranks, values if lowest else -values))[0]]
+        return value, Witness(x, *axes, value, kind), count
 
 
 # ---------------------------------------------------------------------------
@@ -402,44 +483,6 @@ def second_difference_within(f: OracleFunction, x, i: int) -> float:
     return f(x2) - 2.0 * f(d.shift(x, i, 1)) + f(x)
 
 
-def _scan_cross(f: OracleFunction) -> tuple:
-    """Max cross second difference and its argmax over all feasible (x, i<j)."""
-    d = f.domain
-    best = -math.inf
-    best_wit = None
-    checked = 0
-    for x in d.points():
-        for i in range(d.n - 1):
-            if x[i] + 1 > d.sizes[i] - 1:
-                continue
-            for j in range(i + 1, d.n):
-                if x[j] + 1 > d.sizes[j] - 1:
-                    continue
-                val = second_difference_cross(f, x, i, j)
-                checked += 1
-                if val > best:
-                    best = val
-                    best_wit = Witness(x, i, j, val, "cross")
-    return best, best_wit, checked
-
-
-def _scan_within(f: OracleFunction) -> tuple:
-    d = f.domain
-    best = -math.inf
-    best_wit = None
-    checked = 0
-    for x in d.points():
-        for i in range(d.n):
-            if x[i] + 2 > d.sizes[i] - 1:
-                continue
-            val = second_difference_within(f, x, i)
-            checked += 1
-            if val > best:
-                best = val
-                best_wit = Witness(x, i, None, val, "within")
-    return best, best_wit, checked
-
-
 def check_submodular(f: OracleFunction, tol: float = CHECK_TOL, cap=None) -> Verdict:
     """Brute-force submodularity check.
 
@@ -447,8 +490,8 @@ def check_submodular(f: OracleFunction, tol: float = CHECK_TOL, cap=None) -> Ver
     returned witness is the maximal violation.  Refuses domains above the
     point cap.
     """
-    f.domain.check_cap(cap, what="check_submodular")
-    best, wit, checked = _scan_cross(f)
+    table = _Tabulation(f, cap, "check_submodular")
+    best, wit, checked = table.first_extremum(table.cross(), "cross")
     if best > tol:
         return Verdict(False, wit, checked)
     return Verdict(True, None, checked)
@@ -456,9 +499,9 @@ def check_submodular(f: OracleFunction, tol: float = CHECK_TOL, cap=None) -> Ver
 
 def check_dr(f: OracleFunction, tol: float = CHECK_TOL, cap=None) -> Verdict:
     """Diminishing-returns check: submodular plus concave along each coordinate."""
-    f.domain.check_cap(cap, what="check_dr")
-    cross_best, cross_wit, c1 = _scan_cross(f)
-    within_best, within_wit, c2 = _scan_within(f)
+    table = _Tabulation(f, cap, "check_dr")
+    cross_best, cross_wit, c1 = table.first_extremum(table.cross(), "cross")
+    within_best, within_wit, c2 = table.first_extremum(table.within(), "within")
     best = max(cross_best, within_best)
     if best > tol:
         wit = cross_wit if cross_best >= within_best else within_wit
@@ -468,20 +511,8 @@ def check_dr(f: OracleFunction, tol: float = CHECK_TOL, cap=None) -> Verdict:
 
 def check_monotone(f: OracleFunction, tol: float = CHECK_TOL, cap=None) -> Verdict:
     """Holds iff every unit marginal f(x+e_i) - f(x) is >= -tol."""
-    f.domain.check_cap(cap, what="check_monotone")
-    d = f.domain
-    worst = math.inf
-    wit = None
-    checked = 0
-    for x in d.points():
-        for i in range(d.n):
-            if x[i] + 1 > d.sizes[i] - 1:
-                continue
-            marginal = f(d.shift(x, i, 1)) - f(x)
-            checked += 1
-            if marginal < worst:
-                worst = marginal
-                wit = Witness(x, i, None, marginal, "monotone")
+    table = _Tabulation(f, cap, "check_monotone")
+    worst, wit, checked = table.first_extremum(table.marginals(), "monotone", lowest=True)
     if worst < -tol:
         return Verdict(False, wit, checked)
     return Verdict(True, None, checked)

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .extension import Profile, chain_containing, greedy_extension
-from .lattice import LatticeDomain, OracleFunction, SeparableFunction
+from .lattice import LatticeDomain, OracleFunction, SeparableFunction, _Tabulation
 
 
 def minimize_separable(s: SeparableFunction, domain: Optional[LatticeDomain] = None):
@@ -80,8 +80,9 @@ def double_greedy_maximize(g: OracleFunction):
     twice: as a raise of a (gain g(a with a_i -> level) - g(a)) and as a
     lowering of b (gain g(b with b_i -> level) - g(b)).  The better of the
     two best gains wins (both are >= 0 since staying put scores 0); on a
-    tie the raise of a wins.  Ties among levels resolve to the level closest
-    to the current value on each side.  Both points then agree on the
+    tie the raise of a wins.  Ties among levels resolve to the lowest tied
+    level on both sides: the one closest to a_i when raising a, but the one
+    farthest from b_i when lowering b.  Both points then agree on the
     coordinate.  Runs in O(sum k_i) oracle calls.
 
     For nonnegative submodular g the returned value is at least 1/3 of the
@@ -103,15 +104,12 @@ def double_greedy_maximize(g: OracleFunction):
         values = g.batch(points)
         up_gains = values[2:2 + ups.size] - values[0]
         down_gains = values[2 + ups.size:] - values[1]
-        best_up_gain, best_up_level = 0.0, a[i]
-        best_down_gain, best_down_level = 0.0, b[i]
-        for level, gain in zip(ups.tolist(), up_gains.tolist()):
-            if gain > best_up_gain:
-                best_up_gain, best_up_level = gain, level
-        for level, gain in zip(downs.tolist(), down_gains.tolist()):
-            if gain > best_down_gain:
-                best_down_gain, best_down_level = gain, level
-        chosen = best_up_level if best_up_gain >= best_down_gain else best_down_level
+        # the first best level on each side; a side whose best gain is not positive stays put
+        up, down = up_gains.argmax(), down_gains.argmax()
+        if max(up_gains[up], 0.0) >= max(down_gains[down], 0.0):
+            chosen = ups[up] if up_gains[up] > 0 else a[i]
+        else:
+            chosen = downs[down]
         a[i] = chosen
         b[i] = chosen
     point = tuple(a.tolist())
@@ -123,14 +121,9 @@ def brute_force_minimize(v: OracleFunction, cap=None):
 
     Ties resolve to the lexicographically smallest point.  Cap-guarded.
     """
-    d = v.domain
-    d.check_cap(cap, what="brute_force_minimize")
-    best_point, best_value = None, math.inf
-    for x in d.points():
-        val = v(x)
-        if val < best_value:
-            best_point, best_value = x, val
-    return best_point, best_value
+    table = _Tabulation(v, cap, "brute_force_minimize")
+    value, wit, _ = table.first_extremum([((-1, None), table.values)], "minimum", lowest=True)
+    return wit.point, value
 
 
 def pav_nonincreasing(values) -> np.ndarray:
@@ -188,12 +181,10 @@ def _round_profile(f: OracleFunction, profile: Profile):
     distinct = np.ones(len(points), dtype=bool)
     distinct[1:] = (points[1:] != points[:-1]).any(axis=1)
     points = points[distinct]
-    best_point, best_value = None, math.inf
-    for x, val in zip(points.tolist(), f.batch(points).tolist()):
-        x = tuple(x)
-        if val < best_value or (val == best_value and x < best_point):
-            best_point, best_value = x, val
-    return best_point, best_value
+    values = f.batch(points)
+    # the points also fall lexicographically, so the smallest tied point is the last
+    k = len(points) - 1 - int(np.argmin(values[::-1]))
+    return tuple(points[k].tolist()), float(values[k])
 
 
 def minimize_submodular(f: OracleFunction, method: str = "brute_force",

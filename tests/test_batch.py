@@ -355,3 +355,27 @@ def test_chain_validates_increments_without_points():
     assert chain.point_array().tolist() == [[0, 0], [0, 1], [1, 1], [2, 1]]
     assert chain.points == [(0, 0), (0, 1), (1, 1), (2, 1)]
     assert chain.contains((1, 1)) and not chain.contains((1, 0))
+
+
+def _ref_best_descending(neighbors, vx, tol):
+    best = None
+    for nbr, vn in neighbors:
+        if vn < vx - tol and (best is None or vn < best[1]):
+            best = (nbr, vn)
+    return best
+
+
+@pytest.mark.parametrize("budget", [None, 0, 2])
+def test_certificate_best_descending_matches_scalar_scan(budget):
+    """Integer values tie often: the first lowest descending neighbour must win."""
+    dom = d.LatticeDomain([3, 4, 2])
+    rng = np.random.default_rng(7)
+    problem = d.DsProblem(d.TableFunction(dom, rng.integers(0, 3, size=dom.num_points)),
+                          d.SeparableFunction.zero(dom))
+    for x in dom.points():
+        if budget is not None and sum(x) > budget:
+            continue
+        cert = d.certify_local_minimum(problem, x, budget=budget)
+        assert cert.best_descending == _ref_best_descending(cert.neighbors, cert.value,
+                                                            d.algorithms.DESCENT_TOL)
+        assert cert.passed == (cert.best_descending is None)

@@ -207,8 +207,55 @@ class TestOracle:
         with pytest.raises(d.DomainError):
             f((3, 0))
 
+    def test_require_refuses_fractional_coordinates(self):
+        f = d.TableFunction(d.LatticeDomain([3, 3]), range(9))
+        for bad in [(1.7, 0.2), (1, 0.5), (math.nan, 0), (math.inf, 0)]:
+            with pytest.raises(d.DomainError, match="non-integer"):
+                f(bad)
+        assert f.call_count == 0
+        assert f((2.0, 1.0)) == f((2, 1)) == 7.0
+        assert f((np.int64(1), np.float64(0.0))) == 3.0
+        assert f.domain.require([2.0, np.int32(1)]) == (2, 1)
+
     def test_table_of_matches(self):
         fn, _, _ = quadratic_submodular(0, sizes=(3, 3))
         table = d.table_of(fn)
         for x in fn.domain.points():
             assert table[fn.domain.flat_index(x)] == pytest.approx(fn(x))
+
+
+class TestNonFiniteValues:
+    """A NaN or an infinity from an oracle raises; it never reaches a comparison."""
+
+    @staticmethod
+    def nan_at(point, sizes=(3, 3)):
+        return oracle(sizes, lambda x: math.nan if x == point else float(x[0] - x[1]))
+
+    def test_call_and_batch_name_the_oracle_and_point(self):
+        f = self.nan_at((1, 2))
+        assert f((0, 0)) == 0.0
+        with pytest.raises(ValueError, match=r"OracleFunction\(fn.*returned nan at point \(1, 2\)"):
+            f((1, 2))
+        with pytest.raises(ValueError, match=r"returned nan at point \(1, 2\)"):
+            f.batch([[0, 0], [1, 2], [1, 2]])
+        table = d.TableFunction(d.LatticeDomain([2]), [0.0, 0.0])
+        table.values[1] = -math.inf
+        with pytest.raises(ValueError, match=r"returned -inf at point \(1,\)"):
+            table.batch([[0], [1]])
+        composite = table + 1.0
+        with pytest.raises(ValueError, match=r"returned -inf at point \(1,\)"):
+            composite((1,))
+
+    def test_checks_and_brute_force_raise(self):
+        for run in (d.check_submodular, d.check_dr, d.check_monotone, d.dr_violation,
+                    d.brute_force_minimize):
+            with pytest.raises(ValueError, match="returned nan"):
+                run(self.nan_at((2, 1)))
+
+    @pytest.mark.parametrize("algorithm", ["modmod", "supsub", "subsup"])
+    def test_solve_raises_instead_of_certifying(self, algorithm):
+        g = oracle((3, 3), lambda x: 0.0)
+        for point in [(0, 0), (1, 1)]:
+            problem = d.DsProblem(self.nan_at(point), g)
+            with pytest.raises(ValueError, match="returned nan"):
+                d.solve(problem, d.SolveOptions(algorithm=algorithm))

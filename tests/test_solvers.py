@@ -94,6 +94,11 @@ class TestDoubleGreedy:
         assert point == (0, 0)
         assert value == 3.0
 
+    def test_lowering_ties_keep_the_lowest_level(self):
+        # lowering b from 3 gains 1 at levels 0 and 1; the lowest, farthest from b, wins
+        g = d.TableFunction(d.LatticeDomain([4]), [1.0, 1.0, 0.0, 0.0])
+        assert d.double_greedy_maximize(g) == ((0,), 1.0)
+
     def test_one_third_guarantee_empirically(self):
         for seed in range(100):
             g = nonnegative_submodular(seed, sizes=(4, 4, 4))
