@@ -38,6 +38,7 @@ from .extension import Chain, adjacent_chain_family, chain_containing, chain_low
 from .bounds import dr_violation, separable_upper_bound
 from .decompose import DsProblem, monotone_form
 from .solvers import (
+    SFM_METHODS,
     SubgradientOptions,
     double_greedy_maximize,
     minimize_separable,
@@ -77,6 +78,8 @@ class SolveOptions:
             raise ValueError(f"ub_policy must be one of {UB_POLICIES}")
         if self.chain_mode not in ("canonical", "randomized"):
             raise ValueError("chain_mode must be 'canonical' or 'randomized'")
+        if self.sfm_method not in SFM_METHODS:
+            raise ValueError(f"sfm_method must be one of {SFM_METHODS}")
         if self.budget is not None and self.algorithm != "modmod":
             raise ValueError("a cardinality budget is supported by modmod only")
 

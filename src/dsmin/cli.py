@@ -100,8 +100,11 @@ def _add_solve_flags(parser):
                         help="quadratic split coefficient override")
     parser.add_argument("--ub", choices=["try_both", "grow1", "grow2"],
                         default="try_both")
-    parser.add_argument("--sfm", choices=["brute", "subgrad"], default="brute")
-    parser.add_argument("--sfm-iters", type=int, default=None)
+    parser.add_argument("--sfm", choices=["brute", "subgrad"], default="brute",
+                        help="inner SFM of subsup: brute force, or the certified "
+                             "conditional-gradient solver (subgrad)")
+    parser.add_argument("--sfm-iters", type=int, default=None,
+                        help="iteration budget of the subgrad solver, >= 1 (default 500)")
     parser.add_argument("--budget", type=int, default=None,
                         help="cardinality budget (modmod only)")
 

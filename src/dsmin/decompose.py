@@ -182,9 +182,12 @@ def additive_lower_bounds(p: DsProblem, cap=None, sfm_method: str = "brute_force
         bound1 = min_x [f'(x) + k(x)] - g'(k_max)
         bound2 = f'(0) - g'(k_max) + sum_i min-prefix of k's coordinate i
 
-    bound1 needs one submodular minimisation (f' + k is submodular); if that
-    solve is infeasible the bound is reported as None and bound2, a pure
-    O(sum k_i) scan, is still returned.  bound2 <= f'(0) - g'(k_max) because
+    bound1 needs one submodular minimisation (f' + k is submodular).  Brute
+    force gives its minimum; any other method gives its certified lower
+    bound (``duality_info["lower_bound"]``), because the value an inexact
+    solve returns may lie above the minimum.  If that solve is infeasible
+    the bound is reported as None and bound2, a pure O(sum k_i) scan, is
+    still returned.  bound2 <= f'(0) - g'(k_max) because
     every prefix scan includes level 0.
     """
     d = p.domain
@@ -202,7 +205,8 @@ def additive_lower_bounds(p: DsProblem, cap=None, sfm_method: str = "brute_force
     try:
         inner = mono_f + k_sep
         sfm = minimize_submodular(inner, method=sfm_method, options=sfm_options, cap=cap)
-        bound1 = sfm.value - g_top
+        certified = sfm.value if sfm.duality_info is None else sfm.duality_info["lower_bound"]
+        bound1 = certified - g_top
     except CapExceededError:
         pass
     return AdditiveBounds(bound1, bound2, g_top, k_sep, sfm)

@@ -1,7 +1,8 @@
 """Subproblem solvers: exact separable minimisation (plain and under a
 cardinality budget), deterministic double greedy for lattice submodular
-maximisation, and lattice submodular minimisation (brute force, or projected
-subgradient on the extension with threshold rounding).
+maximisation, and lattice submodular minimisation (brute force, or a
+certified conditional-gradient method on the extension with threshold
+rounding).
 
 All exact solvers break ties lexicographically so runs are reproducible.
 """
@@ -14,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .extension import Profile, chain_containing, greedy_extension
+from .extension import Profile, _split_levels, greedy_extension
 from .lattice import LatticeDomain, OracleFunction, SeparableFunction, _Tabulation
 
 
@@ -153,11 +154,25 @@ def project_profile(profile: Profile) -> Profile:
     return Profile(profile.domain, levels, validate=False)
 
 
+SFM_METHODS = ("brute", "brute_force", "subgradient", "subgrad")
+
+# relative certified gap at which the conditional-gradient SFM stops
+SFM_TOL = 1e-9
+LINE_SEARCH_STEPS = 50
+
+
 @dataclass
 class SubgradientOptions:
+    """Options of minimize_submodular(method="subgradient").
+
+    The name is historical: the method is now a certified conditional-gradient
+    solver, and ``iterations`` is its budget of bound evaluations.
+    """
     iterations: int = 500
-    step_scale: Optional[float] = None  # default: 0.5 * (observed range) / sqrt(r)
-    round_each_iteration: bool = True
+
+    def __post_init__(self):
+        if self.iterations < 1:
+            raise ValueError(f"SFM iterations must be >= 1, got {self.iterations}")
 
 
 @dataclass
@@ -176,15 +191,28 @@ def _round_profile(f: OracleFunction, profile: Profile):
     these never exceeds the extension value at profile, because the extension
     is an average of exactly these points.  Ties go to the smallest point.
     """
-    points = profile.points_at(profile.breakpoints())
+    point, value, _ = _round_and_extend(f, profile)
+    return point, value
+
+
+def _round_and_extend(f: OracleFunction, profile: Profile):
+    """_round_profile's point and value, plus the extension value at ``profile``.
+
+    x(t) equals x(t_k) for t in (t_{k-1}, t_k] between consecutive
+    breakpoints (t_0 = 0), so the extension is the sum of those interval
+    lengths times the values; no further oracle calls are made.
+    """
+    ts = profile.breakpoints()
+    points = profile.points_at(ts)
     # x(t) falls as t rises, so equal points are adjacent; keep the first of each run
     distinct = np.ones(len(points), dtype=bool)
     distinct[1:] = (points[1:] != points[:-1]).any(axis=1)
     points = points[distinct]
     values = f.batch(points)
+    lengths = np.add.reduceat(np.diff(ts, prepend=0.0), np.flatnonzero(distinct))
     # the points also fall lexicographically, so the smallest tied point is the last
     k = len(points) - 1 - int(np.argmin(values[::-1]))
-    return tuple(points[k].tolist()), float(values[k])
+    return tuple(points[k].tolist()), float(values[k]), float(lengths @ values)
 
 
 def minimize_submodular(f: OracleFunction, method: str = "brute_force",
@@ -192,50 +220,138 @@ def minimize_submodular(f: OracleFunction, method: str = "brute_force",
                         cap=None) -> SfmResult:
     """Minimise a lattice submodular function.
 
-    method="brute_force": exact enumeration (cap-guarded).
-    method="subgradient": projected subgradient on the extension.  The
-    greedy weights at the current profile are a subgradient; steps are
-    eta / sqrt(t); profiles are kept feasible by per-coordinate pool-
-    adjacent-violators projection plus clamping.  The best profile seen is
-    rounded over its thresholds, which cannot be worse than the extension
-    value, so the reported rounding gap is >= 0 up to float noise.
+    method="brute_force" (or "brute"): exact enumeration (cap-guarded).
+
+    method="subgradient" (or "subgrad"): pairwise conditional gradient on the
+    dual of the extension (Bach, Math. Prog. 2019, section 5).  It keeps w, a
+    convex combination of greedy weight vectors, and minimises
+    F(w) = max over feasible profiles p of -<w, p> - |p|^2 / 2, whose
+    maximiser is the primal profile p(w) = project_profile(-w).  The linear
+    oracle is greedy_extension(f, p(w)); each step moves weight from the
+    active vertex worst for p(w) to the greedy vertex, with an exact line
+    search, and drops vertices whose weight reaches zero.
+
+    Every greedy weight vector, and so w, gives a separable minorant
+    f(0) + sum_i prefix(w_i) of a submodular f; its minimum (O(sum k_i), no
+    oracle calls) is a certified lower bound.  The upper bound is the best
+    threshold rounding of p(w) seen.  The solver stops once
+    upper - lower <= SFM_TOL * max(1, |upper|), when no pairwise step
+    descends, or after ``options.iterations`` bound evaluations.
+    ``duality_info`` holds ``lower_bound``, ``gap`` (upper - lower, >= 0),
+    ``best_extension`` (the lowest extension value at a rounded profile p(w))
+    and ``rounding_gap`` (best_extension - value, >= 0 up to rounding).  The
+    bound and the gap assume f is submodular; for other inputs they certify
+    nothing.
     """
-    d = f.domain
     if method in ("brute", "brute_force"):
         point, value = brute_force_minimize(f, cap=cap)
         return SfmResult(point, value, "brute_force")
-    if method not in ("subgradient", "subgrad"):
+    if method not in SFM_METHODS:
         raise ValueError(f"unknown SFM method {method!r}")
+    return _conditional_gradient_sfm(f, (options or SubgradientOptions()).iterations)
 
-    opts = options or SubgradientOptions()
-    r = sum(k - 1 for k in d.sizes)
-    if opts.step_scale is not None:
-        step0 = float(opts.step_scale)
-    else:
-        walk = chain_containing(d, d.zero)
-        vals = f.batch(walk.point_array())
-        spread = float(vals.max() - vals.min())
-        step0 = 0.5 * (spread if spread > 0 else 1.0) / math.sqrt(r)
 
-    profile = Profile.constant(d, 0.5)
-    best_ext = math.inf
-    best_rho = profile
-    best_point, best_value = None, math.inf
-    for t in range(1, opts.iterations + 1):
-        ext_val, weights = greedy_extension(f, profile)
-        if ext_val < best_ext:
-            best_ext, best_rho = ext_val, profile
-        if opts.round_each_iteration:
-            point, value = _round_profile(f, profile)
-            if value < best_value:
-                best_point, best_value = point, value
-        step = step0 / math.sqrt(t)
-        levels = [profile.levels[i] - step * weights.tables[i] for i in range(d.n)]
-        profile = project_profile(Profile(d, levels, validate=False))
-
-    point, value = _round_profile(f, best_rho)
-    if value < best_value:
-        best_point, best_value = point, value
-    info = {"best_extension": best_ext, "rounding_gap": best_ext - best_value}
+def _conditional_gradient_sfm(f: OracleFunction, budget: int) -> SfmResult:
+    d = f.domain
+    _, s = greedy_extension(f, Profile.constant(d, 0.5))
+    f0 = s.constant
+    vertices = np.concatenate(s.tables)[None, :]  # active greedy weight vectors, one per row
+    alpha = np.ones(1)                              # their convex weights
+    best_point, best_value, best_ext, lower = None, math.inf, math.inf, -math.inf
+    for iteration in range(1, budget + 1):
+        w = alpha @ vertices
+        profile = _primal(d, w)
+        rho = np.concatenate(profile.levels)
+        point, value, ext = _round_and_extend(f, profile)
+        if value < best_value:
+            best_point, best_value = point, value
+        best_ext = min(best_ext, ext)
+        _, bound = minimize_separable(SeparableFunction(d, f0, _split_levels(d, w)))
+        lower = max(lower, bound)
+        if best_value - lower <= SFM_TOL * max(1.0, abs(best_value)) or iteration == budget:
+            break
+        _, s = greedy_extension(f, profile)
+        # pairwise step from the active vertex worst for rho to the greedy vertex
+        vertex = np.concatenate(s.tables)
+        away = int(np.argmin(vertices @ rho))
+        direction = vertex - vertices[away]
+        gamma = _line_search(d, w, direction, rho, alpha[away])
+        if gamma == 0.0:
+            break  # no pairwise step descends: w is stationary
+        same = np.flatnonzero((vertices == vertex).all(axis=1))
+        if same.size:
+            alpha[same[0]] += gamma
+        else:
+            vertices = np.vstack([vertices, vertex])
+            alpha = np.append(alpha, gamma)
+        alpha[away] -= gamma  # exactly 0 after a drop step, since gamma is then alpha[away]
+        keep = alpha > 0.0
+        vertices, alpha = vertices[keep], alpha[keep]
+    lower = min(lower, best_value)  # a lower bound never exceeds a value of f
+    info = {"best_extension": best_ext, "rounding_gap": best_ext - best_value,
+            "lower_bound": lower, "gap": best_value - lower}
     return SfmResult(best_point, best_value, "subgradient",
-                     iterations=opts.iterations, duality_info=info)
+                     iterations=iteration, duality_info=info)
+
+
+def _primal(domain: LatticeDomain, w: np.ndarray) -> Profile:
+    """project_profile(-w) for weights w in (coordinate, level) order."""
+    return project_profile(Profile(domain, _split_levels(domain, -w), validate=False))
+
+
+def _line_search(domain: LatticeDomain, w, direction, rho, gamma_max: float) -> float:
+    """The step in [0, gamma_max] minimising F(w + gamma * direction).
+
+    The derivative of F along the direction is -h(gamma), with
+    h(gamma) = <direction, p(w + gamma * direction)>: continuous,
+    non-increasing and piecewise linear, since the projection is piecewise
+    linear.  Newton steps on h are exact within one piece; a step that
+    leaves the bracket falls back to false position.  Values of h within
+    rounding of zero count as zero; the step is 0 when h(0) is.
+    """
+    def at(gamma):
+        rho = np.concatenate(_primal(domain, w + gamma * direction).levels)
+        return rho, float(direction @ rho)
+
+    noise = 1e-12 * float(np.abs(direction).sum())  # |h| <= sum |direction|
+    h0 = h_lo = float(direction @ rho)
+    if h0 <= noise:
+        return 0.0
+    _, h_hi = at(gamma_max)
+    if h_hi >= -noise:
+        return gamma_max
+    lo, hi = 0.0, gamma_max
+    gamma, h = 0.0, h0
+    for _ in range(LINE_SEARCH_STEPS):
+        slope = _slope(domain, rho, direction)
+        step = gamma - h / slope if slope < 0.0 else math.nan
+        if not lo < step < hi:
+            step = lo + (hi - lo) * h_lo / (h_lo - h_hi)
+            if not lo < step < hi:
+                break
+        gamma = step
+        rho, h = at(gamma)
+        if abs(h) <= noise:
+            return gamma
+        if h > 0.0:
+            lo, h_lo = gamma, h
+        else:
+            hi, h_hi = gamma, h
+    return lo  # F still falls at lo, so the step descends
+
+
+def _slope(domain: LatticeDomain, rho, direction) -> float:
+    """dh/dgamma on the linear piece of h at the profile ``rho``.
+
+    Runs of equal entries within a coordinate are the pooled blocks of the
+    projection; a block strictly inside (0, 1) moves with the mean of
+    -direction over it, a clamped block does not move.
+    """
+    new_block = np.ones(rho.size, dtype=bool)
+    new_block[1:] = rho[1:] != rho[:-1]
+    new_block[np.cumsum([k - 1 for k in domain.sizes])[:-1]] = True
+    starts = np.flatnonzero(new_block)
+    sums = np.add.reduceat(direction, starts)
+    counts = np.diff(np.append(starts, rho.size))
+    free = (rho[starts] > 0.0) & (rho[starts] < 1.0)
+    return -float(np.sum(sums[free] ** 2 / counts[free]))

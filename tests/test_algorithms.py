@@ -168,6 +168,12 @@ class TestDescentAndTraces:
         with pytest.raises(ValueError):
             d.SolveOptions(algorithm="subsup", budget=2)
 
+    def test_unknown_sfm_method_rejected_up_front(self):
+        with pytest.raises(ValueError, match="sfm_method"):
+            d.SolveOptions(algorithm="subsup", sfm_method="magic")
+        for method in ("brute", "brute_force", "subgrad", "subgradient"):
+            d.SolveOptions(algorithm="subsup", sfm_method=method)
+
 
 class TestEpsilonAndPredictedBound:
     def test_epsilon_blocks_small_steps(self):

@@ -96,6 +96,16 @@ class TestSolve:
     def test_missing_file_exit_2(self, capsys):
         assert cli_run(["solve", "/nonexistent/problem.json"]) == 2
 
+    def test_zero_sfm_iterations_exit_2(self, toy_file, capsys):
+        code = cli_run(["solve", toy_file, "--algorithm", "subsup",
+                        "--sfm", "subgrad", "--sfm-iters", "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        record = json.loads(captured.err.splitlines()[-1])
+        assert record["error"]["type"] == "ValueError"
+        assert "iterations must be >= 1" in record["error"]["message"]
+        assert "status" not in captured.out
+
 
 class TestCheck:
     def test_non_submodular_gets_exit_2(self, product_file, capsys):

@@ -153,6 +153,21 @@ class TestAdditiveBounds:
             assert b.bound2 <= best + 1e-9
             assert b.bound2 <= b.bound1 + 1e-9
 
+    def test_inexact_sfm_bound1_is_certified(self):
+        # one bound evaluation leaves the SFM gap open on several of these, and
+        # the solve's value minus g'(k_max) then lies above the exact bound1
+        above = 0
+        for seed in range(12):
+            f, _, _ = quadratic_submodular(seed, sizes=(4, 4))
+            problem = d.DsProblem(f, coverage_function(seed, sizes=(4, 4)))
+            exact = d.additive_lower_bounds(problem)
+            b = d.additive_lower_bounds(problem, sfm_method="subgradient",
+                                        sfm_options=d.SubgradientOptions(iterations=1))
+            assert b.bound1 == b.sfm.duality_info["lower_bound"] - b.monotone_top_g
+            assert b.bound1 <= exact.bound1 + 1e-12
+            above += b.sfm.value - b.monotone_top_g > exact.bound1 + 1e-9
+        assert above > 0
+
 
 class TestExtremes:
     def test_product(self):

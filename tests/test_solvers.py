@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dsmin as d
+from dsmin.solvers import SFM_TOL
 from conftest import (
     nonnegative_submodular,
     quadratic_submodular,
@@ -196,3 +199,92 @@ class TestSubgradientSfm:
         fn, _, _ = quadratic_submodular(7, sizes=(3, 3))
         with pytest.raises(ValueError):
             d.minimize_submodular(fn, method="magic")
+
+
+# lattice shapes of at most 200 points
+shapes_st = st.lists(st.integers(2, 5), min_size=1, max_size=3).filter(
+    lambda sizes: math.prod(sizes) <= 200)
+
+
+def _sfm_input(kind, sizes, seed, offset):
+    """A submodular function of one of three families, shifted by ``offset``."""
+    dom = d.LatticeDomain(sizes)
+    rng = np.random.default_rng(seed)
+    if kind == "quadratic":
+        fn, _, _ = quadratic_submodular(seed, sizes=tuple(sizes))
+    else:
+        spec = d.generate_ensemble("concave_of_linear_sums",
+                                   {"count": 1, "sizes": sizes}, seed=seed)[0]
+        p, _ = d.build_problem(spec, validate=False)
+        if kind == "concave":
+            # a monotone table minus a separable reward, so 0 is rarely the minimiser
+            reward = [rng.uniform(0.0, 2.0, size=k - 1) for k in sizes]
+            fn = p.f - d.SeparableFunction(dom, 0.0, reward)
+        else:
+            # the subsup inner problem f - h_g at a random anchor
+            x = tuple(int(rng.integers(0, k)) for k in sizes)
+            fn = p.f - d.chain_lower_bound(p.g, x, d.chain_containing(dom, x))
+    return fn + offset
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["concave", "quadratic", "inner"]), sizes=shapes_st,
+       seed=st.integers(0, 10**6), offset=st.floats(-5.0, 5.0),
+       budget=st.sampled_from([1, 2, 5, 500]))
+def test_sfm_certificate(kind, sizes, seed, offset, budget):
+    fn = _sfm_input(kind, sizes, seed, offset)
+    res = d.minimize_submodular(fn, method="subgradient",
+                                options=d.SubgradientOptions(iterations=budget))
+    _, best = d.brute_force_minimize(fn)
+    info = res.duality_info
+    assert info["lower_bound"] <= best + 1e-12 * max(1.0, abs(best))  # rounding slack only
+    assert best <= res.value == fn(res.minimizer)
+    assert info["gap"] == res.value - info["lower_bound"] >= 0.0
+    assert info["rounding_gap"] >= -1e-12 * max(1.0, abs(best))
+    assert 1 <= res.iterations <= budget
+    if info["gap"] <= SFM_TOL * max(1.0, abs(res.value)):
+        assert res.value == best
+
+
+@settings(max_examples=30, deadline=None)
+@given(sizes=shapes_st, seed=st.integers(0, 10**6))
+def test_sfm_separable_input_stops_after_one_iteration(sizes, seed):
+    s = random_separable(seed, sizes=tuple(sizes))
+    res = d.minimize_submodular(s, method="subgradient")
+    assert res.iterations == 1
+    assert res.duality_info["gap"] <= SFM_TOL * max(1.0, abs(res.value))
+    assert res.value == pytest.approx(d.minimize_separable(s)[1], abs=1e-12)
+
+
+def test_rounding_extension_matches_greedy_extension():
+    rng = np.random.default_rng(5)
+    for seed in range(20):
+        fn, _, _ = quadratic_submodular(seed, sizes=(4, 3, 5))
+        # non-increasing levels with ties, zeros and ones
+        levels = [np.sort(rng.choice([0.0, 0.25, 0.5, rng.uniform(), 1.0], size=k - 1))[::-1]
+                  for k in fn.domain.sizes]
+        profile = d.Profile(fn.domain, levels)
+        point, value, ext = d.solvers._round_and_extend(fn, profile)
+        assert (point, value) == d.solvers._round_profile(fn, profile)
+        assert ext == pytest.approx(d.greedy_extension(fn, profile)[0], abs=1e-12)
+
+
+def test_sfm_iteration_budget_is_validated():
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="iterations must be >= 1"):
+            d.SubgradientOptions(iterations=bad)
+    # the step-size knobs of the projected subgradient method are gone
+    for removed in ("step_scale", "round_each_iteration"):
+        with pytest.raises(TypeError):
+            d.SubgradientOptions(**{removed: 1})
+
+
+def test_sfm_closes_the_gap_within_the_default_budget():
+    for seed in range(20):
+        fn, _, _ = quadratic_submodular(seed, sizes=(4, 4, 4))
+        res = d.minimize_submodular(fn, method="subgradient")
+        _, best = d.brute_force_minimize(fn)
+        assert res.value == best
+        assert res.iterations < 500
+        assert res.duality_info["gap"] <= SFM_TOL * max(1.0, abs(best))
+        assert set(res.duality_info) == {"best_extension", "rounding_gap", "lower_bound", "gap"}
