@@ -3,8 +3,8 @@
 Separable minimisation is exact and linear-time; the cardinality-budgeted
 variant runs a small dynamic program.  Submodular maximisation uses a
 deterministic lattice double greedy (1/3 of the optimum on nonnegative
-inputs).  Submodular minimisation is either exhaustive or a conditional-
-gradient method on the extension that stops on a certified duality gap.
+inputs).  Submodular minimisation is either exhaustive or Wolfe's
+minimum-norm-point method, which stops on a certified duality gap.
 """
 
 import numpy as np
@@ -48,12 +48,12 @@ print(f"\nbrute-force SFM: {exact.minimizer}, value {exact.value}")
 approx = d.minimize_submodular(f, method="subgradient",
                                options=d.SubgradientOptions(iterations=300))
 info = approx.duality_info
-print(f"conditional-gradient SFM: {approx.minimizer}, value {approx.value}")
+print(f"minimum-norm-point SFM: {approx.minimizer}, value {approx.value}")
 print(f"  certified lower bound {info['lower_bound']}, gap {info['gap']}, "
       f"iterations used {approx.iterations} of 300")
 
-# The primal profile is the projection of -w by plain pool-adjacent-violators
-# followed by clamping to [0, 1].
+# The primal profile is the projection of -z onto non-increasing levels by
+# plain pool-adjacent-violators.
 print("\nPAV projection of [0.5, 0.8]:", d.pav_nonincreasing([0.5, 0.8]).tolist())
 print("PAV projection of [0.9, 0.3, 0.6]:",
       np.round(d.pav_nonincreasing([0.9, 0.3, 0.6]), 4).tolist())

@@ -102,7 +102,7 @@ def _add_solve_flags(parser):
                         default="try_both")
     parser.add_argument("--sfm", choices=["brute", "subgrad"], default="brute",
                         help="inner SFM of subsup: brute force, or the certified "
-                             "conditional-gradient solver (subgrad)")
+                             "minimum-norm-point solver (subgrad)")
     parser.add_argument("--sfm-iters", type=int, default=None,
                         help="iteration budget of the subgrad solver, >= 1 (default 500)")
     parser.add_argument("--budget", type=int, default=None,

@@ -1,7 +1,7 @@
 """Subproblem solvers: exact separable minimisation (plain and under a
 cardinality budget), deterministic double greedy for lattice submodular
-maximisation, and lattice submodular minimisation (brute force, or a
-certified conditional-gradient method on the extension with threshold
+maximisation, and lattice submodular minimisation (brute force, or
+Wolfe's minimum-norm-point algorithm with a certified gap and threshold
 rounding).
 
 All exact solvers break ties lexicographically so runs are reproducible.
@@ -156,16 +156,17 @@ def project_profile(profile: Profile) -> Profile:
 
 SFM_METHODS = ("brute", "brute_force", "subgradient", "subgrad")
 
-# relative certified gap at which the conditional-gradient SFM stops
+# relative certified gap at which the minimum-norm-point SFM stops
 SFM_TOL = 1e-9
-LINE_SEARCH_STEPS = 50
+# corral weights at or below this are zero; also the relative slack of its stopping tests
+CORRAL_TOL = 1e-12
 
 
 @dataclass
 class SubgradientOptions:
     """Options of minimize_submodular(method="subgradient").
 
-    The name is historical: the method is now a certified conditional-gradient
+    The name is historical: the method is now a certified minimum-norm-point
     solver, and ``iterations`` is its budget of bound evaluations.
     """
     iterations: int = 500
@@ -222,71 +223,75 @@ def minimize_submodular(f: OracleFunction, method: str = "brute_force",
 
     method="brute_force" (or "brute"): exact enumeration (cap-guarded).
 
-    method="subgradient" (or "subgrad"): pairwise conditional gradient on the
-    dual of the extension (Bach, Math. Prog. 2019, section 5).  It keeps w, a
-    convex combination of greedy weight vectors, and minimises
-    F(w) = max over feasible profiles p of -<w, p> - |p|^2 / 2, whose
-    maximiser is the primal profile p(w) = project_profile(-w).  The linear
-    oracle is greedy_extension(f, p(w)); each step moves weight from the
-    active vertex worst for p(w) to the greedy vertex, with an exact line
-    search, and drops vertices whose weight reaches zero.
+    method="subgradient" (or "subgrad"): Wolfe's minimum-norm-point
+    algorithm, a fully corrective conditional-gradient method (Fujishige and
+    Isotani 2011; Bach, Math. Prog. 2019, section 5).  Seen as a set function
+    on the ideals of its level chains, f has the base polyhedron P + D: P is
+    the hull of the greedy weight vectors of greedy_extension, D the cone of
+    level shifts e_(i,l+1) - e_(i,l).  The solver keeps z, the point of least
+    norm in the hull of a few atoms (greedy vectors with convex weights,
+    level shifts with non-negative weights), and w, its part in P.  The
+    primal profile is rho = PAV(-z), the projection of -z onto non-increasing
+    levels; the linear oracle is greedy_extension at rho.  After each new
+    atom, Wolfe's minor cycles find the least-norm point of the atoms' hull
+    exactly and drop the atoms whose weight reaches zero.
 
-    Every greedy weight vector, and so w, gives a separable minorant
-    f(0) + sum_i prefix(w_i) of a submodular f; its minimum (O(sum k_i), no
-    oracle calls) is a certified lower bound.  The upper bound is the best
-    threshold rounding of p(w) seen.  The solver stops once
-    upper - lower <= SFM_TOL * max(1, |upper|), when no pairwise step
-    descends, or after ``options.iterations`` bound evaluations.
+    w gives a separable minorant f(0) + sum_i prefix(w_i) of a submodular f;
+    its minimum (O(sum k_i), no oracle calls) is a certified lower bound.  The
+    upper bound is the best threshold rounding of rho over its positive
+    levels.  At the least-norm point of P + D the rounding {rho > 0} attains
+    the lower bound, so the gap closes.  The solver stops once
+    upper - lower <= SFM_TOL * max(1, |upper|), when no greedy vector lowers
+    |z|, or after ``options.iterations`` bound evaluations.
     ``duality_info`` holds ``lower_bound``, ``gap`` (upper - lower, >= 0),
-    ``best_extension`` (the lowest extension value at a rounded profile p(w))
-    and ``rounding_gap`` (best_extension - value, >= 0 up to rounding).  The
-    bound and the gap assume f is submodular; for other inputs they certify
-    nothing.
+    ``best_extension`` (the lowest extension value at a rounding profile
+    rho / max(rho), clamped at 0) and ``rounding_gap`` (best_extension - value,
+    >= 0 up to rounding).  The bound and the gap assume f is submodular; for
+    other inputs they certify nothing.
     """
     if method in ("brute", "brute_force"):
         point, value = brute_force_minimize(f, cap=cap)
         return SfmResult(point, value, "brute_force")
     if method not in SFM_METHODS:
         raise ValueError(f"unknown SFM method {method!r}")
-    return _conditional_gradient_sfm(f, (options or SubgradientOptions()).iterations)
+    return _min_norm_point_sfm(f, (options or SubgradientOptions()).iterations)
 
 
-def _conditional_gradient_sfm(f: OracleFunction, budget: int) -> SfmResult:
+def _min_norm_point_sfm(f: OracleFunction, budget: int) -> SfmResult:
     d = f.domain
+    shifts = _level_shifts(d)
     _, s = greedy_extension(f, Profile.constant(d, 0.5))
     f0 = s.constant
-    vertices = np.concatenate(s.tables)[None, :]  # active greedy weight vectors, one per row
-    alpha = np.ones(1)                              # their convex weights
+    atoms = np.concatenate(s.tables)[None, :]  # one per row
+    greedy = np.ones(1, dtype=bool)            # greedy vector (True) or level shift
+    weights = np.ones(1)
     best_point, best_value, best_ext, lower = None, math.inf, math.inf, -math.inf
     for iteration in range(1, budget + 1):
-        w = alpha @ vertices
-        profile = _primal(d, w)
-        rho = np.concatenate(profile.levels)
-        point, value, ext = _round_and_extend(f, profile)
+        # level shifts first: they cost no oracle calls and make z
+        # non-decreasing along every coordinate
+        z = weights @ atoms
+        slack = shifts @ z
+        while slack.size and slack.min() < -CORRAL_TOL * max(1.0, np.abs(z).max()):
+            atoms, greedy, weights = _add_atom(atoms, greedy, weights,
+                                               shifts[int(np.argmin(slack))], False)
+            z = weights @ atoms
+            slack = shifts @ z
+        rho = _pav_levels(d, -z)
+        point, value, ext = _round_and_extend(f, _rounding_profile(d, rho))
         if value < best_value:
             best_point, best_value = point, value
         best_ext = min(best_ext, ext)
+        w = weights[greedy] @ atoms[greedy]
         _, bound = minimize_separable(SeparableFunction(d, f0, _split_levels(d, w)))
         lower = max(lower, bound)
         if best_value - lower <= SFM_TOL * max(1.0, abs(best_value)) or iteration == budget:
             break
-        _, s = greedy_extension(f, profile)
-        # pairwise step from the active vertex worst for rho to the greedy vertex
+        # greedy_extension reads only the order of the entries, so rho may leave [0, 1]
+        _, s = greedy_extension(f, Profile(d, _split_levels(d, rho), validate=False))
         vertex = np.concatenate(s.tables)
-        away = int(np.argmin(vertices @ rho))
-        direction = vertex - vertices[away]
-        gamma = _line_search(d, w, direction, rho, alpha[away])
-        if gamma == 0.0:
-            break  # no pairwise step descends: w is stationary
-        same = np.flatnonzero((vertices == vertex).all(axis=1))
-        if same.size:
-            alpha[same[0]] += gamma
-        else:
-            vertices = np.vstack([vertices, vertex])
-            alpha = np.append(alpha, gamma)
-        alpha[away] -= gamma  # exactly 0 after a drop step, since gamma is then alpha[away]
-        keep = alpha > 0.0
-        vertices, alpha = vertices[keep], alpha[keep]
+        if z @ z - z @ vertex <= CORRAL_TOL * max(1.0, z @ z):
+            break  # no greedy vector lowers |z|: z is the least-norm point
+        atoms, greedy, weights = _add_atom(atoms, greedy, weights, vertex, True)
     lower = min(lower, best_value)  # a lower bound never exceeds a value of f
     info = {"best_extension": best_ext, "rounding_gap": best_ext - best_value,
             "lower_bound": lower, "gap": best_value - lower}
@@ -294,64 +299,65 @@ def _conditional_gradient_sfm(f: OracleFunction, budget: int) -> SfmResult:
                      iterations=iteration, duality_info=info)
 
 
-def _primal(domain: LatticeDomain, w: np.ndarray) -> Profile:
-    """project_profile(-w) for weights w in (coordinate, level) order."""
-    return project_profile(Profile(domain, _split_levels(domain, -w), validate=False))
+def _level_shifts(domain: LatticeDomain) -> np.ndarray:
+    """Rows e_(i,l+1) - e_(i,l) for consecutive levels, in (coordinate, level) order."""
+    ends = np.cumsum([k - 1 for k in domain.sizes])
+    lows = np.array([j for end, k in zip(ends, domain.sizes)
+                     for j in range(end - k + 1, end - 1)], dtype=np.int64)
+    shifts = np.zeros((lows.size, int(ends[-1])))
+    shifts[np.arange(lows.size), lows] = -1.0
+    shifts[np.arange(lows.size), lows + 1] = 1.0
+    return shifts
 
 
-def _line_search(domain: LatticeDomain, w, direction, rho, gamma_max: float) -> float:
-    """The step in [0, gamma_max] minimising F(w + gamma * direction).
+def _pav_levels(domain: LatticeDomain, u: np.ndarray) -> np.ndarray:
+    """Each coordinate's levels of u projected onto non-increasing sequences."""
+    return np.concatenate([pav_nonincreasing(v) for v in _split_levels(domain, u)])
 
-    The derivative of F along the direction is -h(gamma), with
-    h(gamma) = <direction, p(w + gamma * direction)>: continuous,
-    non-increasing and piecewise linear, since the projection is piecewise
-    linear.  Newton steps on h are exact within one piece; a step that
-    leaves the bracket falls back to false position.  Values of h within
-    rounding of zero count as zero; the step is 0 when h(0) is.
+
+def _rounding_profile(domain: LatticeDomain, rho: np.ndarray) -> Profile:
+    """rho / max(rho), clamped at 0: its breakpoints are the positive levels of rho."""
+    top = float(rho.max())
+    scaled = rho / top if top > 0.0 else rho
+    return project_profile(Profile(domain, _split_levels(domain, scaled), validate=False))
+
+
+def _add_atom(atoms, greedy, weights, atom, is_greedy: bool):
+    """Add ``atom`` at weight 0 and run Wolfe's minor cycles: the new corral.
+
+    Each cycle moves the weights towards the least-norm point of the atoms'
+    affine hull (greedy weights summing to 1) until one reaches zero, and
+    drops it; the cycles end when that point has every weight positive.
     """
-    def at(gamma):
-        rho = np.concatenate(_primal(domain, w + gamma * direction).levels)
-        return rho, float(direction @ rho)
-
-    noise = 1e-12 * float(np.abs(direction).sum())  # |h| <= sum |direction|
-    h0 = h_lo = float(direction @ rho)
-    if h0 <= noise:
-        return 0.0
-    _, h_hi = at(gamma_max)
-    if h_hi >= -noise:
-        return gamma_max
-    lo, hi = 0.0, gamma_max
-    gamma, h = 0.0, h0
-    for _ in range(LINE_SEARCH_STEPS):
-        slope = _slope(domain, rho, direction)
-        step = gamma - h / slope if slope < 0.0 else math.nan
-        if not lo < step < hi:
-            step = lo + (hi - lo) * h_lo / (h_lo - h_hi)
-            if not lo < step < hi:
-                break
-        gamma = step
-        rho, h = at(gamma)
-        if abs(h) <= noise:
-            return gamma
-        if h > 0.0:
-            lo, h_lo = gamma, h
-        else:
-            hi, h_hi = gamma, h
-    return lo  # F still falls at lo, so the step descends
+    atoms = np.vstack([atoms, atom])
+    greedy = np.append(greedy, is_greedy)
+    weights = np.append(weights, 0.0)
+    while True:
+        target = _affine_minimizer(atoms, greedy)
+        if (target > CORRAL_TOL).all():
+            weights = target
+            break
+        low = np.flatnonzero(target <= CORRAL_TOL)
+        room = weights[low] - target[low]
+        ratios = np.where(room > 0.0, weights[low] / np.where(room > 0.0, room, 1.0), 0.0)
+        k = int(np.argmin(ratios))
+        weights = weights + ratios[k] * (target - weights)
+        weights[low[k]] = 0.0
+        keep = weights > CORRAL_TOL
+        atoms, greedy, weights = atoms[keep], greedy[keep], weights[keep]
+    weights[greedy] /= weights[greedy].sum()  # w stays a convex combination
+    return atoms, greedy, weights
 
 
-def _slope(domain: LatticeDomain, rho, direction) -> float:
-    """dh/dgamma on the linear piece of h at the profile ``rho``.
-
-    Runs of equal entries within a coordinate are the pooled blocks of the
-    projection; a block strictly inside (0, 1) moves with the mean of
-    -direction over it, a clamped block does not move.
-    """
-    new_block = np.ones(rho.size, dtype=bool)
-    new_block[1:] = rho[1:] != rho[:-1]
-    new_block[np.cumsum([k - 1 for k in domain.sizes])[:-1]] = True
-    starts = np.flatnonzero(new_block)
-    sums = np.add.reduceat(direction, starts)
-    counts = np.diff(np.append(starts, rho.size))
-    free = (rho[starts] > 0.0) & (rho[starts] < 1.0)
-    return -float(np.sum(sums[free] ** 2 / counts[free]))
+def _affine_minimizer(atoms, greedy) -> np.ndarray:
+    """Weights minimising |weights @ atoms| subject to sum(weights[greedy]) == 1."""
+    m = len(atoms)
+    kkt = np.zeros((m + 1, m + 1))
+    kkt[:m, :m] = atoms @ atoms.T
+    kkt[:m, m] = kkt[m, :m] = greedy
+    rhs = np.zeros(m + 1)
+    rhs[m] = 1.0
+    try:
+        return np.linalg.solve(kkt, rhs)[:m]
+    except np.linalg.LinAlgError:  # affinely dependent atoms
+        return np.linalg.lstsq(kkt, rhs, rcond=None)[0][:m]

@@ -288,3 +288,36 @@ def test_sfm_closes_the_gap_within_the_default_budget():
         assert res.iterations < 500
         assert res.duality_info["gap"] <= SFM_TOL * max(1.0, abs(best))
         assert set(res.duality_info) == {"best_extension", "rounding_gap", "lower_bound", "gap"}
+
+
+def test_sfm_iterations_stay_few_on_inner_problems():
+    # the subsup inner problems f - h_g of concave_of_linear_sums tables; a
+    # pairwise step without corrections needs hundreds of iterations on some
+    for seed in range(40):
+        fn = _sfm_input("inner", [5, 5, 5, 5], seed, 0.0)
+        res = d.minimize_submodular(fn, method="subgradient")
+        _, best = d.brute_force_minimize(fn)
+        assert res.value == best
+        assert res.duality_info["gap"] <= SFM_TOL * max(1.0, abs(best))
+        assert res.iterations <= 20, (seed, res.iterations)
+
+
+def test_minor_cycles_leave_the_least_norm_point_of_the_corral():
+    rng = np.random.default_rng(11)
+    dom = d.LatticeDomain([4, 3, 4])
+    shifts = d.solvers._level_shifts(dom)
+    assert shifts.shape == (5, 8)
+    assert (shifts.sum(axis=1) == 0).all() and (np.abs(shifts).sum(axis=1) == 2).all()
+    for _ in range(20):
+        atoms, greedy, weights = rng.normal(size=(1, 8)), np.ones(1, dtype=bool), np.ones(1)
+        for _ in range(8):
+            if rng.random() < 0.4:
+                new, is_greedy = shifts[rng.integers(len(shifts))], False
+            else:
+                new, is_greedy = rng.normal(size=8), True
+            atoms, greedy, weights = d.solvers._add_atom(atoms, greedy, weights, new, is_greedy)
+            z = weights @ atoms
+            assert (weights > 0).all() and weights[greedy].sum() == pytest.approx(1.0, abs=1e-12)
+            # z is the affine minimiser: level in every greedy atom, normal to every shift
+            assert np.allclose(atoms[greedy] @ z, z @ z, atol=1e-9)
+            assert np.allclose(atoms[~greedy] @ z, 0.0, atol=1e-9)
