@@ -334,14 +334,13 @@ def predicted_iteration_bound(p: DsProblem, epsilon: float,
     M is f'(0) - g'(k_max) from the monotone decompositions of f and g; m is
     the objective value after the first MM step (one modmod step is run when
     it is not supplied).  m = 0 reports a bound of 0: the first iterate is
-    already as good as the scale argument can certify.
+    already as good as the scale argument can certify.  A monotone part
+    vanishes at 0 by construction, so f'(0) = 0 and f is not decomposed.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
-    d = p.domain
-    _, mono_f = monotone_form(p.f, cap=cap)
     _, mono_g = monotone_form(p.g, cap=cap)
-    big_m = mono_f(d.zero) - mono_g(d.k_max)
+    big_m = 0.0 - mono_g(p.domain.k_max)
     if v_x1 is None:
         probe = modmod(p, SolveOptions(algorithm="modmod", epsilon=epsilon,
                                        max_iters=1, cap=cap))

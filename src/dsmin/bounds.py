@@ -85,8 +85,7 @@ def dr_split(f: OracleFunction, coeff: float) -> DrDecomposition:
     # increments of coeff * x^2: coeff * (2j - 1) at level j
     tables = [coeff * (2.0 * np.arange(1, k) - 1.0) for k in d.sizes]
     quad = SeparableFunction(d, 0.0, tables)
-    residual = OracleFunction(d, lambda x: f(x) - quad.value(x),
-                              batch_fn=lambda X: f._batch(X) - quad.values_at(X))
+    residual = OracleFunction(d, batch_fn=lambda X: f._batch(X) - quad.values_at(X))
     return DrDecomposition(coeff, quad, residual)
 
 

@@ -20,6 +20,7 @@ Contents:
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -98,7 +99,7 @@ def min_marginal_decomposition(f: OracleFunction, normalize: bool = True,
     slopes = [top_val - f(d.shift(d.k_max, i, -1)) for i in range(d.n)]
     modular = SeparableFunction(d, 0.0, [np.full(k - 1, s) for s, k in zip(slopes, d.sizes)])
     shift = f(d.zero) if normalize else 0.0
-    monotone = OracleFunction(d, lambda x: f(x) - shift - modular.value(x))
+    monotone = OracleFunction(d, batch_fn=lambda X: f._batch(X) - shift - modular.values_at(X))
     return MonotoneDecomposition(modular, monotone, "min_marginal")
 
 
@@ -120,7 +121,7 @@ def harmonic_decomposition(f: OracleFunction, cap=None) -> MonotoneDecomposition
         tables.append(w)
     modular = SeparableFunction(d, 0.0, tables)
     shift = f(d.zero)
-    monotone = OracleFunction(d, lambda x: f(x) - shift - modular.value(x))
+    monotone = OracleFunction(d, batch_fn=lambda X: f._batch(X) - shift - modular.values_at(X))
     verdict = None
     try:
         verdict = check_monotone(monotone, cap=cap)
@@ -257,7 +258,8 @@ def ds_construct(v: OracleFunction, g_ref: OracleFunction, m_ref: float,
 
     is submodular on both sides and f - g reproduces v exactly.  When
     ``validate`` and the domain is small enough, f is checked and a
-    DsConstructionError with a witness is raised if n_bound was too small.
+    DsConstructionError with a witness is raised if n_bound was too small;
+    above the cap a warning says that n_bound is trusted.
     """
     if v.domain != g_ref.domain:
         raise ValueError("v and the reference must share one domain")
@@ -279,6 +281,7 @@ def ds_construct(v: OracleFunction, g_ref: OracleFunction, m_ref: float,
                     f"second difference of {verdict.witness.value:.6g} at "
                     f"{verdict.witness.point}", witness=verdict.witness)
         except CapExceededError:
-            pass
+            warnings.warn("domain too large to verify submodularity of the constructed f; "
+                          f"n_bound={n_bound} is trusted")
     return DsProblem(f, g, provenance="constructed",
                      details={"n_bound": n_bound, "m_ref": m_ref})

@@ -139,8 +139,11 @@ def greedy_extension(f: OracleFunction, profile: Profile):
     -------
     (value, weights) : (float, SeparableFunction)
         The extension value and the greedy marginal gains as a separable
-        function with constant f(0).  ``value`` equals
-        weights.constant + <weights, profile>.
+        function with constant f(0): level j of coordinate i gets the gain
+        of the walk's j-th raise of i.  ``value`` equals
+        weights.constant + <weights, profile> when each coordinate's levels
+        are exactly non-increasing; levels that rise by up to PROFILE_TOL
+        move it by up to PROFILE_TOL times their gains.
     """
     d = f.domain
     if profile.domain != d:
@@ -155,13 +158,12 @@ def greedy_extension(f: OracleFunction, profile: Profile):
     levels = np.concatenate([np.arange(1, k) for k in d.sizes])
     order = np.lexsort((levels, coords, -weights))
 
-    values = f.batch(_walk(d, coords[order]))
+    walk = coords[order]
+    values = f.batch(_walk(d, walk))
     gains = np.diff(values)
-    increments = np.empty_like(gains)
-    increments[order] = gains
     # accumulated in walk order, one entry at a time
     value = np.cumsum(np.concatenate((values[:1], weights[order] * gains)))[-1]
-    return float(value), SeparableFunction(d, float(values[0]), _split_levels(d, increments))
+    return float(value), SeparableFunction(d, float(values[0]), _walk_tables(d, walk, gains))
 
 
 def _walk(domain: LatticeDomain, increments: np.ndarray) -> np.ndarray:
@@ -174,6 +176,11 @@ def _walk(domain: LatticeDomain, increments: np.ndarray) -> np.ndarray:
 def _split_levels(domain: LatticeDomain, flat: np.ndarray) -> List[np.ndarray]:
     """Per-coordinate tables from r entries in (coordinate, level) order."""
     return np.split(flat, np.cumsum([k - 1 for k in domain.sizes])[:-1])
+
+
+def _walk_tables(domain: LatticeDomain, increments: np.ndarray, gains: np.ndarray):
+    """Per-coordinate tables of a walk's gains: the j-th raise of coordinate i reaches level j."""
+    return _split_levels(domain, gains[np.argsort(increments, kind="stable")])
 
 
 class Chain:
@@ -258,10 +265,7 @@ def chain_lower_bound(f: OracleFunction, y, chain: Chain) -> SeparableFunction:
     if not chain.contains(y):
         raise ValueError(f"chain does not contain {y}; the bound would not be tight there")
     values = f.batch(chain.point_array())
-    gains = np.diff(values)
-    # the j-th increment of coordinate i raises it to level j
-    order = np.argsort(chain._incs, kind="stable")
-    return SeparableFunction(d, float(values[0]), _split_levels(d, gains[order]))
+    return SeparableFunction(d, float(values[0]), _walk_tables(d, chain._incs, np.diff(values)))
 
 
 def adjacent_chain_family(domain: LatticeDomain, y) -> List[Chain]:

@@ -79,32 +79,30 @@ class LatticeDomain:
         return len(x) == self.n and all(0 <= x[i] <= self.sizes[i] - 1 for i in range(self.n))
 
     def require(self, x) -> tuple:
-        """x as a tuple of ints in the domain; fractional coordinates raise DomainError."""
-        x = tuple(x)
-        try:
-            y = tuple(int(c) for c in x)
-        except (TypeError, ValueError, OverflowError):  # NaN, infinity, not a number
-            y = None
-        if y != x:
-            raise DomainError(f"point {x} has non-integer coordinates")
-        if not self.contains(y):
-            raise DomainError(f"point {y} outside domain with sizes {self.sizes}")
-        return y
+        """x as a tuple of ints in the domain: ``require_batch`` on one row."""
+        return tuple(self.require_batch([x])[0].tolist())
 
     def require_batch(self, X) -> np.ndarray:
-        """X as an (m, n) int64 array of points in the domain, else DomainError."""
-        X = np.asarray(X)
+        """X as an (m, n) int64 array of points in the domain, else DomainError.
+
+        Integer arrays and integral finite floats pass; booleans, fractions,
+        NaN, infinities, ragged and non-numeric input do not.
+        """
+        try:
+            X = np.asarray(X)
+        except (TypeError, ValueError):  # ragged
+            raise DomainError("batch is not a rectangular array of points") from None
         if X.ndim != 2 or X.shape[1] != self.n:
             raise DomainError(f"batch of shape {X.shape} does not hold points of width {self.n}")
         if X.dtype.kind not in "iu":
-            if X.dtype.kind != "f" or not np.all(np.floor(X) == X):
+            if X.dtype.kind != "f" or not np.all(np.isfinite(X) & (np.floor(X) == X)):
                 raise DomainError(f"batch of dtype {X.dtype} holds non-integer coordinates")
-        X = X.astype(np.int64, copy=False)
-        outside = ((X < 0) | (X > self._k_max)).any(axis=1)
-        if outside.any():
-            x = tuple(X[np.argmax(outside)].tolist())
+        # bounds before the cast, which would wrap integral floats beyond int64
+        outside = (X < 0) | (X > self._k_max)
+        if np.count_nonzero(outside):
+            x = tuple(X[np.argmax(outside.any(axis=1))].tolist())
             raise DomainError(f"point {x} outside domain with sizes {self.sizes}")
-        return X
+        return X.astype(np.int64, copy=False)
 
     def shift(self, x, i: int, delta: int) -> tuple:
         """x + delta * e_i, raising DomainError if the result leaves the domain."""
@@ -148,23 +146,26 @@ class LatticeDomain:
 class OracleFunction:
     """A real-valued function on a lattice domain, behind a counting oracle.
 
-    ``f(x)`` evaluates one point; ``f.batch(X)`` evaluates the rows of an
-    ``(m, n)`` integer array and returns ``m`` floats, equal bit for bit to
-    ``[f(x) for x in X]``.  Both count one call per point: ``call_count``
-    rises by 1 or by ``m``.  The counter is lock-guarded so ensemble runners
-    may evaluate distinct points from several threads.
+    ``f.batch(X)`` evaluates the rows of an ``(m, n)`` integer array and
+    returns ``m`` floats; ``f(x)`` is a batch of one row.  There is one
+    evaluation path: a point or batch is validated once, as a whole, where
+    it enters (a wrong width, a boolean, a non-integer or non-finite entry,
+    or a point outside the domain raises DomainError before anything is
+    evaluated or counted), and ``_batch`` then counts one call per row and
+    refuses a non-finite value with a ValueError naming the oracle and the
+    first point that gave it.  The counter is lock-guarded so ensemble
+    runners may evaluate distinct points from several threads.
 
-    ``fn`` takes a tuple of ints.  The optional ``batch_fn`` takes an
-    ``(m, n)`` int64 array, already validated, and returns ``m`` floats; it
-    must agree with ``fn`` row by row.  Without it, ``batch`` loops over the
-    rows and calls ``fn`` on each.  A batch is validated once, as a whole:
-    a wrong width, a non-integer entry or a point outside the domain raises
-    DomainError before anything is evaluated or counted.  A non-finite value
-    raises ValueError naming the oracle and the first point that gave it.
+    Give ``batch_fn``, ``fn`` or both; ``batch_fn`` is used when both are.
+    ``batch_fn`` takes an ``(m, n)`` int64 array, already validated, and
+    returns ``m`` floats.  ``fn`` takes a tuple of ints; without
+    ``batch_fn``, a batch calls it once per row.
     """
 
-    def __init__(self, domain: LatticeDomain, fn: Callable[[tuple], float], name: str = "",
-                 batch_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None):
+    def __init__(self, domain: LatticeDomain, fn: Optional[Callable[[tuple], float]] = None,
+                 name: str = "", batch_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None):
+        if fn is None and batch_fn is None:
+            raise ValueError("an oracle needs fn or batch_fn")
         self.domain = domain
         self._fn = fn
         self._batch_fn = batch_fn
@@ -181,13 +182,8 @@ class OracleFunction:
             self._calls = 0
 
     def __call__(self, x) -> float:
-        x = self.domain.require(x)
-        with self._lock:
-            self._calls += 1
-        value = float(self._fn(x))
-        if not math.isfinite(value):
-            raise ValueError(f"{self!r} returned {value} at point {x}")
-        return value
+        """The value at x, a batch of one row: one call."""
+        return float(self._batch(self.domain.require_batch([x]))[0])
 
     def batch(self, X) -> np.ndarray:
         """Values at the rows of X, an (m, n) array of lattice points; m calls."""
@@ -203,8 +199,9 @@ class OracleFunction:
             values = np.asarray(self._batch_fn(X), dtype=float)
             if values.shape != (len(X),):
                 raise ValueError(f"batch_fn returned shape {values.shape} for {len(X)} points")
-        # a sum of squares is finite if every value is, unless it overflows
-        if not math.isfinite(values.dot(values)) and not np.isfinite(values).all():
+        # a sum of squares is finite if every value is, unless it overflows (vdot,
+        # unlike dot, raises no warning then)
+        if not math.isfinite(np.vdot(values, values)) and not np.isfinite(values).all():
             k = int(np.argmin(np.isfinite(values)))
             raise ValueError(f"{self!r} returned {values[k]} at point {tuple(X[k].tolist())}")
         return values
@@ -214,25 +211,20 @@ class OracleFunction:
     def __add__(self, other):
         if isinstance(other, OracleFunction):
             _same_domain(self, other)
-            return OracleFunction(self.domain, lambda x: self(x) + other(x),
-                                  batch_fn=lambda X: self._batch(X) + other._batch(X))
+            return OracleFunction(self.domain, batch_fn=lambda X: self._batch(X) + other._batch(X))
         c = float(other)
-        return OracleFunction(self.domain, lambda x: self(x) + c,
-                              batch_fn=lambda X: self._batch(X) + c)
+        return OracleFunction(self.domain, batch_fn=lambda X: self._batch(X) + c)
 
     def __sub__(self, other):
         if isinstance(other, OracleFunction):
             _same_domain(self, other)
-            return OracleFunction(self.domain, lambda x: self(x) - other(x),
-                                  batch_fn=lambda X: self._batch(X) - other._batch(X))
+            return OracleFunction(self.domain, batch_fn=lambda X: self._batch(X) - other._batch(X))
         c = float(other)
-        return OracleFunction(self.domain, lambda x: self(x) - c,
-                              batch_fn=lambda X: self._batch(X) - c)
+        return OracleFunction(self.domain, batch_fn=lambda X: self._batch(X) - c)
 
     def __mul__(self, scalar):
         c = float(scalar)
-        return OracleFunction(self.domain, lambda x: c * self(x),
-                              batch_fn=lambda X: c * self._batch(X))
+        return OracleFunction(self.domain, batch_fn=lambda X: c * self._batch(X))
 
     __rmul__ = __mul__
 
@@ -261,8 +253,7 @@ class TableFunction(OracleFunction):
         self.values = values
         strides = np.array(domain._strides, dtype=np.int64)
         # closing over the array, not self, leaves no cycle to delay freeing a dropped table
-        super().__init__(domain, lambda x: values[domain.flat_index(x)], name=name,
-                         batch_fn=lambda X: values[X @ strides])
+        super().__init__(domain, name=name, batch_fn=lambda X: values[X @ strides])
 
 
 class SeparableFunction(OracleFunction):
@@ -287,7 +278,7 @@ class SeparableFunction(OracleFunction):
         # prefixes[i][v] = sum of the first v increments of coordinate i
         self.prefixes = [np.concatenate(([0.0], np.cumsum(t))) for t in tables]
         self._flat_prefixes = None  # built by the first values_at
-        super().__init__(domain, self.value, name=name, batch_fn=self.values_at)
+        super().__init__(domain, name=name, batch_fn=self.values_at)
 
     @classmethod
     def zero(cls, domain: LatticeDomain):

@@ -192,25 +192,20 @@ def build_function(spec: dict, domain: LatticeDomain, slot: str, path: str) -> O
         return SeparableFunction.from_level_values(domain, curves)
 
     # powers[i, level, j] = (1 - p_ij)^level: the chance that `level` units
-    # of sensor i all miss region j.  Both forms below look the powers up
-    # instead of calling pow, whose last bit can depend on the array layout,
-    # and add each point's regions with the same row-wise sum (not a BLAS
-    # product, whose rounding depends on the batch shape), so a batch agrees
-    # bit for bit with one call per point.
+    # of sensor i all miss region j.  The kernel looks the powers up instead
+    # of calling pow, whose last bit can depend on the array layout, and adds
+    # each point's regions with a row-wise sum (not a BLAS product, whose
+    # rounding depends on the batch shape), so a value does not depend on
+    # the batch it is evaluated in.
     levels = np.arange(max(domain.sizes), dtype=float)
     powers = (1.0 - probs)[:, None, :] ** levels[None, :, None]
     coords = np.arange(domain.n)
 
-    def eval_coverage(x, powers=powers, weights=weights):
-        undetected = np.prod(powers[coords, x], axis=0)
-        return float(((1.0 - undetected) * weights).sum())
-
-    def eval_coverage_batch(X, powers=powers, weights=weights):
+    def eval_coverage(X, powers=powers, weights=weights):
         undetected = np.prod(powers[coords, X], axis=1)
         return ((1.0 - undetected) * weights).sum(axis=1)
 
-    return OracleFunction(domain, eval_coverage, name=f"{slot}:coverage",
-                          batch_fn=eval_coverage_batch)
+    return OracleFunction(domain, name=f"{slot}:coverage", batch_fn=eval_coverage)
 
 
 def build_problem(spec: dict, validate: bool = True, cap=None):
@@ -219,6 +214,8 @@ def build_problem(spec: dict, validate: bool = True, cap=None):
     ``validate`` runs the submodularity checker on both declared components
     when the domain is within the cap; failures raise
     ProblemValidationError.  Above the cap a warning is emitted instead.
+    An auto-split f is checked once, by ``ds_construct``, whose
+    DsConstructionError names ``n_bound``.
     """
     if not isinstance(spec, dict):
         _fail("$", "expected a JSON object")
@@ -266,7 +263,9 @@ def build_problem(spec: dict, validate: bool = True, cap=None):
                                validate=validate, cap=cap)
 
     if validate:
-        for label, fn in (("f", problem.f), ("g", problem.g)):
+        # ds_construct has already checked an auto-split f
+        components = (("f", problem.f), ("g", problem.g)) if has_pair else (("g", problem.g),)
+        for label, fn in components:
             try:
                 verdict = check_submodular(fn, cap=cap)
             except CapExceededError:

@@ -190,6 +190,19 @@ class TestEpsilonAndPredictedBound:
         assert pred.small_m == 0.0
         assert pred.bound == 0.0
 
+    def test_bound_given_v_x1_makes_no_f_calls(self):
+        problems = [sqrt_sum_problem()] + [p for p, _ in ds_ensemble(3, sizes=(3, 3, 3))]
+        for spec in d.generate_ensemble("random_table_autosplit", {"count": 2, "sizes": (3, 4)}):
+            problems.append(d.build_problem(spec, validate=False)[0])  # f not monotone
+        for p in problems:
+            _, mono_f = d.monotone_form(p.f)
+            _, mono_g = d.monotone_form(p.g)
+            big_m = mono_f(p.domain.zero) - mono_g(p.domain.k_max)
+            calls = p.f.call_count
+            pred = d.predicted_iteration_bound(p, 0.1, v_x1=-1.0)
+            assert p.f.call_count == calls
+            assert np.float64(pred.big_m).tobytes() == np.float64(big_m).tobytes()
+
     def test_toy_bound_dominates_observed(self):
         p = sqrt_sum_problem()
         report = d.modmod(p, d.SolveOptions(algorithm="modmod", epsilon=0.1))

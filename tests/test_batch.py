@@ -112,6 +112,9 @@ def test_batch_accepts_lists_and_integral_floats():
     np.array([[0.5, 1.0]]),        # non-integer coordinate
     np.array([[np.nan, 1.0]]),
     np.array([[True, False]]),
+    np.array([[np.inf, 0.0]]),     # refused before the int64 cast, which would wrap them
+    np.array([[-np.inf, 0.0]]),
+    np.array([[1e300, 0.0]]),
 ])
 def test_bad_batch_raises_and_counts_nothing(bad):
     dom = d.LatticeDomain([3, 3])
@@ -120,6 +123,51 @@ def test_bad_batch_raises_and_counts_nothing(bad):
     with pytest.raises(d.DomainError):
         composite.batch(bad)
     assert composite.call_count == 0 and base.call_count == 0
+
+
+def _built_in_and_scalar_only():
+    dom = d.LatticeDomain([3, 3])
+    return [d.TableFunction(dom, np.arange(9.0)),
+            d.OracleFunction(dom, lambda x: float(3 * x[0] + x[1]))]
+
+
+@pytest.mark.parametrize("bad", [
+    (1.5, 0), (1, 0.5),                                   # fractional
+    (math.nan, 0), (math.inf, 0), (-math.inf, 0), (1e300, 0),
+    (True, False),                                        # booleans
+    (0, 1, 0), (0,), 4,                                   # wrong width
+    ((0, 1), 0), ("a", 0), (None, 0),                     # ragged, non-numeric
+], ids=repr)
+def test_call_and_batch_of_one_refuse_the_same_points(bad):
+    for f in _built_in_and_scalar_only():
+        with pytest.raises(d.DomainError):
+            f(bad)
+        with pytest.raises(d.DomainError):
+            f.batch([bad])
+        assert f.call_count == 0
+
+
+def test_call_and_batch_of_one_accept_the_same_points():
+    for f in _built_in_and_scalar_only():
+        for x in [(2, 1), (2.0, 1.0), (np.int64(2), np.float64(1.0)), np.array([2, 1])]:
+            assert f(x) == f.batch([x])[0] == 7.0
+        assert f.call_count == 8
+
+
+def test_oracle_needs_a_form():
+    dom = d.LatticeDomain([3])
+    with pytest.raises(ValueError, match="fn or batch_fn"):
+        d.OracleFunction(dom)
+    both = d.OracleFunction(dom, lambda x: 1.0, batch_fn=lambda X: np.zeros(len(X)))
+    assert both((1,)) == 0.0  # batch_fn is used when both are given
+
+
+@pytest.mark.filterwarnings("error")
+def test_large_finite_values_pass_without_warnings():
+    # their sum of squares overflows, which must not surface as a numpy warning
+    f = d.TableFunction(d.LatticeDomain([2]), [1e200, -1e308])
+    assert f.batch([[0], [1]]).tolist() == [1e200, -1e308]
+    assert f((1,)) == -1e308
 
 
 def test_batch_fn_with_wrong_length_is_refused():
@@ -213,7 +261,9 @@ def _ref_greedy_extension(f, profile):
 
 def _counted(fn):
     """A counting copy of fn, so a reference run leaves fn's counter alone."""
-    return d.OracleFunction(fn.domain, lambda x: fn._fn(x))
+    if fn._batch_fn is not None:
+        return d.OracleFunction(fn.domain, batch_fn=fn._batch_fn)
+    return d.OracleFunction(fn.domain, fn._fn)
 
 
 def _assert_separable(s, constant, tables):

@@ -88,6 +88,12 @@ class TestGreedyExtension:
         d.greedy_extension(f, profile)
         assert f.call_count == profile.entry_count() + 1
 
+    def test_levels_rising_within_tolerance_keep_their_gains(self):
+        f = d.TableFunction(d.LatticeDomain([3]), [0, -1, 5])
+        _, w = d.greedy_extension(f, d.Profile(f.domain, [[0.5, 0.5 + 1e-10]]))
+        assert [t.tolist() for t in w.tables] == [[-1.0, 6.0]]
+        assert [w.value((j,)) for j in range(3)] == [0.0, -1.0, 5.0]
+
     def test_invalid_profile_rejected(self):
         dom = d.LatticeDomain([3, 3])
         f = d.OracleFunction(dom, lambda x: 0.0)

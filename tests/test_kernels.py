@@ -185,7 +185,9 @@ def _bits(value):
 
 def _counted(fn):
     """A counting copy of fn, so a reference run leaves fn's counter alone."""
-    return d.OracleFunction(fn.domain, lambda x: fn._fn(x))
+    if fn._batch_fn is not None:
+        return d.OracleFunction(fn.domain, batch_fn=fn._batch_fn)
+    return d.OracleFunction(fn.domain, fn._fn)
 
 
 def _weights(f, seed):

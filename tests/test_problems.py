@@ -64,6 +64,19 @@ class TestBuildProblem:
         for x in dom.points():
             assert problem.v(x) == pytest.approx(x[0] * x[1], abs=1e-12)
 
+    def test_auto_split_checks_f_once(self):
+        dom = d.LatticeDomain([3, 3])
+        values = [float(x[0] * x[1]) for x in dom.points()]
+        spec = {"version": 1, "sizes": [3, 3],
+                "v": {"kind": "table", "values": values}, "auto_split": {}}
+        problem, _ = d.build_problem(spec)
+        assert problem.f.call_count == dom.num_points
+        spec["auto_split"] = {"n_bound": 0.1}
+        with pytest.raises(d.DsConstructionError, match="n_bound=0.1 too small"):
+            d.build_problem(spec)
+        with pytest.warns(UserWarning, match="constructed f; n_bound=0.1 is trusted"):
+            d.build_problem(spec, cap=4)
+
     def test_malformed_sizes(self):
         with pytest.raises(d.ProblemFormatError, match=r"sizes\[1\]"):
             d.build_problem({"version": 1, "sizes": [3, 1],
