@@ -18,22 +18,23 @@ epsilon * |v| (sign-safe form; plain strict descent when epsilon = 0).
 
 When an iteration produces no accepted move, the current point is certified
 by checking all 2n unit neighbours (the condition the O(n) adjacent-chain
-families guarantee; the family used is recorded in the certificate).  A
+families guarantee; the certificate builds that family when it is read).  A
 failed certificate hands the loop its descending neighbour; a passed one
 ends the run with status "certified_local_min".
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 import numpy as np
 
-from .lattice import CapExceededError, OracleFunction
+from .lattice import CapExceededError, LatticeDomain, OracleFunction
 from .extension import Chain, adjacent_chain_family, chain_containing, chain_lower_bound
 from .bounds import dr_violation, separable_upper_bound
 from .decompose import DsProblem, monotone_form
@@ -101,12 +102,23 @@ class IterateRecord:
 
 @dataclass
 class Certificate:
+    """The unit-neighbour check of ``point`` (see ``certify_local_minimum``).
+
+    ``chain_family`` is the adjacent chain family at ``point``: it shows which
+    chain sweep covers the same neighbours.  The loop never reads it, so it is
+    built on first access.
+    """
+
     passed: bool
     point: tuple
     value: float
     neighbors: List[tuple]            # (point, v) pairs actually checked
     best_descending: Optional[tuple]  # (point, v) or None
-    chain_family: List[Chain]
+    domain: LatticeDomain = field(repr=False)
+
+    @functools.cached_property
+    def chain_family(self) -> List[Chain]:
+        return adjacent_chain_family(self.domain, self.point)
 
 
 @dataclass
@@ -156,8 +168,8 @@ def certify_local_minimum(p: DsProblem, x, tol: float = DESCENT_TOL,
     2n evaluations of v; with a cardinality budget, up-neighbours violating
     it are not feasible and are skipped.  f and g are each evaluated in one
     batch over x and its feasible neighbours, ordered by coordinate, the
-    up-neighbour first.  The adjacent chain family at x is recorded so the
-    certificate shows which chain sweep covers the same neighbours.
+    up-neighbour first.  The certificate's ``chain_family``, the adjacent
+    chain family at x, is built only when read.
     """
     d = p.domain
     x = d.require(x)
@@ -175,8 +187,7 @@ def certify_local_minimum(p: DsProblem, x, tol: float = DESCENT_TOL,
     best = neighbors[int(np.argmin(values[1:]))] if neighbors else None
     if best is not None and not best[1] < vx - tol:
         best = None
-    return Certificate(best is None, x, vx, neighbors, best,
-                       adjacent_chain_family(d, x))
+    return Certificate(best is None, x, vx, neighbors, best, d)
 
 
 def _resolve_dr_coeff(f: OracleFunction, opts: SolveOptions) -> float:

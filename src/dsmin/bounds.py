@@ -83,8 +83,7 @@ def dr_split(f: OracleFunction, coeff: float) -> DrDecomposition:
         raise ValueError(f"quadratic coefficient must be >= 0, got {coeff}")
     d = f.domain
     # increments of coeff * x^2: coeff * (2j - 1) at level j
-    tables = [coeff * (2.0 * np.arange(1, k) - 1.0) for k in d.sizes]
-    quad = SeparableFunction(d, 0.0, tables)
+    quad = SeparableFunction._of_increments(d, 0.0, coeff * (2.0 * d._levels[d._rises] - 1.0))
     residual = OracleFunction(d, batch_fn=lambda X: f._batch(X) - quad.values_at(X))
     return DrDecomposition(coeff, quad, residual)
 
@@ -108,8 +107,7 @@ def dr_upper_bound(h: OracleFunction, x, variant: str = "grow1") -> SeparableFun
     zero = np.zeros(d.n, dtype=np.int64)
 
     # one row per (coordinate, level) with level != x[coordinate]
-    coord = np.repeat(np.arange(d.n), d.sizes)
-    level = np.concatenate([np.arange(k) for k in d.sizes])
+    coord, level = d._level_coords, d._levels
     off = level != anchor[coord]
     coord, level = coord[off], level[off]
     below = level < anchor[coord]
@@ -163,10 +161,7 @@ def dr_upper_bound(h: OracleFunction, x, variant: str = "grow1") -> SeparableFun
 
     phi = np.zeros(sum(d.sizes))
     phi[off] = bound
-    contribs = np.split(phi, np.cumsum(d.sizes)[:-1])
-    tables = [np.diff(c) for c in contribs]
-    constant = float(hx) + sum(float(c[0]) for c in contribs)
-    return SeparableFunction(d, constant, tables)
+    return SeparableFunction._of_levels(d, phi, float(hx))
 
 
 def separable_upper_bound(f: OracleFunction, coeff: float, x,
@@ -175,6 +170,36 @@ def separable_upper_bound(f: OracleFunction, coeff: float, x,
 
     Requires coeff >= dr_violation(f) (trusted or verified by the caller).
     The result majorises f everywhere and equals f at the anchor.
+
+    A ``SeparableFunction`` f is not evaluated: its residual h = f - quad is
+    separable too, so each level's term of ``dr_upper_bound`` is a difference
+    of two values of one coordinate's curve h_i, read from the prefix tables
+    (below the anchor, grow1 adds h_i(l) - h_i(x_i) and grow2
+    h_i(k_i - 1 - x_i + l) - h_i(k_i - 1); above it, grow1 adds
+    h_i(l - x_i) - h_i(0) and grow2 h_i(l) - h_i(x_i)).  tight1 and tight2
+    then equal f itself and are returned as a copy of it.  Such a bound makes
+    no oracle calls and agrees with the evaluated one up to rounding.
     """
     split = dr_split(f, coeff)
-    return split.quad + dr_upper_bound(split.residual, x, variant)
+    if not isinstance(f, SeparableFunction):
+        return split.quad + dr_upper_bound(split.residual, x, variant)
+    if variant not in UB_VARIANTS:
+        raise ValueError(f"variant must be one of {UB_VARIANTS}, got {variant!r}")
+    d = f.domain
+    anchor = np.array(d.require(x))
+    if variant in ("tight1", "tight2"):
+        return SeparableFunction._of_increments(d, f.constant, f._increments)
+    # h_i(l) at offset _level_offsets[i] + l, for every coordinate and level
+    h = f._flat_prefixes - split.quad._flat_prefixes
+    coord, level = d._level_coords, d._levels
+    at = anchor[coord]
+    below = level < at
+    if variant == "grow1":
+        first, second = np.where(below, level, level - at), np.where(below, at, 0)
+    else:  # grow2
+        top = d._k_max[coord]
+        first, second = np.where(below, top - at + level, level), np.where(below, top, at)
+    start = d._level_offsets[coord]
+    phi = h[start + first] - h[start + second]
+    hx = f.value(anchor) - split.quad.value(anchor)
+    return split.quad + SeparableFunction._of_levels(d, phi, hx)

@@ -97,7 +97,8 @@ def min_marginal_decomposition(f: OracleFunction, normalize: bool = True,
             raise ValueError(f"input is not DR-submodular: {verdict.witness}")
     top_val = f(d.k_max)
     slopes = [top_val - f(d.shift(d.k_max, i, -1)) for i in range(d.n)]
-    modular = SeparableFunction(d, 0.0, [np.full(k - 1, s) for s, k in zip(slopes, d.sizes)])
+    modular = SeparableFunction._of_increments(
+        d, 0.0, np.repeat(np.array(slopes, dtype=float), np.array(d.sizes) - 1))
     shift = f(d.zero) if normalize else 0.0
     monotone = OracleFunction(d, batch_fn=lambda X: f._batch(X) - shift - modular.values_at(X))
     return MonotoneDecomposition(modular, monotone, "min_marginal")
@@ -198,7 +199,7 @@ def additive_lower_bounds(p: DsProblem, cap=None, sfm_method: str = "brute_force
     g_top = mono_g(d.k_max)
 
     f0 = mono_f(d.zero)
-    scan = sum(float(np.min(pref)) for pref in k_sep.prefixes)
+    scan = sum(k_sep._prefix_grid.min(axis=1).tolist())
     bound2 = f0 - g_top + k_sep.constant + scan
 
     bound1 = None

@@ -163,7 +163,8 @@ def greedy_extension(f: OracleFunction, profile: Profile):
     gains = np.diff(values)
     # accumulated in walk order, one entry at a time
     value = np.cumsum(np.concatenate((values[:1], weights[order] * gains)))[-1]
-    return float(value), SeparableFunction(d, float(values[0]), _walk_tables(d, walk, gains))
+    return float(value), SeparableFunction._of_increments(d, float(values[0]),
+                                                         _walk_increments(walk, gains))
 
 
 def _walk(domain: LatticeDomain, increments: np.ndarray) -> np.ndarray:
@@ -175,12 +176,12 @@ def _walk(domain: LatticeDomain, increments: np.ndarray) -> np.ndarray:
 
 def _split_levels(domain: LatticeDomain, flat: np.ndarray) -> List[np.ndarray]:
     """Per-coordinate tables from r entries in (coordinate, level) order."""
-    return np.split(flat, np.cumsum([k - 1 for k in domain.sizes])[:-1])
+    return np.split(flat, domain._increment_offsets[1:])
 
 
-def _walk_tables(domain: LatticeDomain, increments: np.ndarray, gains: np.ndarray):
-    """Per-coordinate tables of a walk's gains: the j-th raise of coordinate i reaches level j."""
-    return _split_levels(domain, gains[np.argsort(increments, kind="stable")])
+def _walk_increments(increments: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """A walk's gains in (coordinate, level) order: the j-th raise of coordinate i reaches level j."""
+    return gains[np.argsort(increments, kind="stable")]
 
 
 class Chain:
@@ -265,7 +266,8 @@ def chain_lower_bound(f: OracleFunction, y, chain: Chain) -> SeparableFunction:
     if not chain.contains(y):
         raise ValueError(f"chain does not contain {y}; the bound would not be tight there")
     values = f.batch(chain.point_array())
-    return SeparableFunction(d, float(values[0]), _walk_tables(d, chain._incs, np.diff(values)))
+    return SeparableFunction._of_increments(d, float(values[0]),
+                                            _walk_increments(chain._incs, np.diff(values)))
 
 
 def adjacent_chain_family(domain: LatticeDomain, y) -> List[Chain]:

@@ -70,6 +70,19 @@ class LatticeDomain:
         self._k_max = np.array(self.k_max, dtype=np.int64)
         # where coordinate i's levels start when all levels are laid end to end
         self._level_offsets = np.cumsum((0,) + sizes[:-1])
+        # the coordinate and the level at each of those flat positions, and the
+        # positions of the levels 1..k_i - 1, where each increment ends
+        self._level_coords = np.repeat(np.arange(self.n), sizes)
+        self._levels = np.arange(sum(sizes)) - self._level_offsets[self._level_coords]
+        self._rises = np.flatnonzero(self._levels)
+        # where coordinate i's increments start when they are laid end to end
+        self._increment_offsets = self._level_offsets - np.arange(self.n)
+        # a zero-padded (n, max k) grid, row i for coordinate i: where each level,
+        # and each increment (one column to the left), sits in the flattened grid
+        width = max(sizes)
+        self._level_slots = self._level_coords * width + self._levels
+        self._increment_slots = (self._level_coords * (width - 1) + self._levels - 1)[self._rises]
+        self._padding = np.arange(width)[None, :] >= np.array(sizes)[:, None]
 
     @property
     def zero(self) -> tuple:
@@ -85,16 +98,26 @@ class LatticeDomain:
     def require_batch(self, X) -> np.ndarray:
         """X as an (m, n) int64 array of points in the domain, else DomainError.
 
-        Integer arrays and integral finite floats pass; booleans, fractions,
-        NaN, infinities, ragged and non-numeric input do not.
+        Integer arrays and integral finite floats pass; booleans (also mixed
+        with numbers), fractions, NaN, infinities, ragged and non-numeric input
+        do not.  An integer beyond int64 is a point outside the domain.
         """
+        rows = None if isinstance(X, np.ndarray) else X
         try:
             X = np.asarray(X)
         except (TypeError, ValueError):  # ragged
             raise DomainError("batch is not a rectangular array of points") from None
         if X.ndim != 2 or X.shape[1] != self.n:
             raise DomainError(f"batch of shape {X.shape} does not hold points of width {self.n}")
-        if X.dtype.kind not in "iu":
+        # numpy turns a boolean mixed with numbers into a number, so the elements
+        # of input that was not an array yet are looked at one by one
+        if rows is not None and not {type(v) for row in rows for v in row}.isdisjoint(
+                (bool, np.bool_)):
+            raise DomainError("batch holds boolean coordinates")
+        if X.dtype == object and all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                                     for v in X.flat):
+            pass  # integers beyond int64: the bounds check below reports the point
+        elif X.dtype.kind not in "iu":
             if X.dtype.kind != "f" or not np.all(np.isfinite(X) & (np.floor(X) == X)):
                 raise DomainError(f"batch of dtype {X.dtype} holds non-integer coordinates")
         # bounds before the cast, which would wrap integral floats beyond int64
@@ -262,6 +285,11 @@ class SeparableFunction(OracleFunction):
     ``tables[i]`` holds the per-level increments w_i(1), ..., w_i(k_i - 1).
     All cross-coordinate second differences of a separable function vanish,
     so it is simultaneously submodular and supermodular (modular).
+
+    The increments and their prefix sums are kept as flat arrays in
+    (coordinate, level) order, so arithmetic, evaluation and minimisation are
+    array operations; ``tables`` and ``prefixes`` split them per coordinate
+    on first access.
     """
 
     def __init__(self, domain: LatticeDomain, constant: float, tables, name: str = ""):
@@ -273,40 +301,76 @@ class SeparableFunction(OracleFunction):
                 raise ValueError(
                     f"tables[{i}]: expected {domain.sizes[i] - 1} increments, got {t.size}"
                 )
+        self._setup(domain, constant, np.concatenate(tables), name)
+
+    @classmethod
+    def _of_increments(cls, domain: LatticeDomain, constant: float, increments: np.ndarray):
+        """From all increments laid end to end in (coordinate, level) order, unchecked."""
+        s = cls.__new__(cls)
+        s._setup(domain, constant, increments, "")
+        return s
+
+    @classmethod
+    def _of_levels(cls, domain: LatticeDomain, values: np.ndarray, constant: float = 0.0):
+        """``from_level_values`` for the curves laid end to end in one flat array, unchecked."""
+        increments = values[domain._rises] - values[domain._rises - 1]
+        base = sum(values[domain._level_offsets].tolist())
+        return cls._of_increments(domain, constant + base, increments)
+
+    def _setup(self, domain: LatticeDomain, constant: float, increments: np.ndarray, name: str):
         self.constant = float(constant)
-        self.tables = tables
-        # prefixes[i][v] = sum of the first v increments of coordinate i
-        self.prefixes = [np.concatenate(([0.0], np.cumsum(t))) for t in tables]
-        self._flat_prefixes = None  # built by the first values_at
+        self._increments = increments
+        # each coordinate's prefix sums in a row of the padded grid: the cumsum of
+        # each table, bit for bit; padding holds +inf, so it is never a minimum
+        grid = np.zeros(domain._padding.shape)
+        steps = np.zeros((domain.n, grid.shape[1] - 1))
+        steps.flat[domain._increment_slots] = increments
+        np.cumsum(steps, axis=1, out=grid[:, 1:])
+        # coordinate i's level v sits at offset _level_offsets[i] + v
+        self._flat_prefixes = grid.reshape(-1)[domain._level_slots]
+        grid[domain._padding] = np.inf
+        self._prefix_grid = grid
+        self._tables = self._prefixes = None
         super().__init__(domain, name=name, batch_fn=self.values_at)
+
+    @property
+    def tables(self):
+        """Per-coordinate increment arrays (views of the flat increments)."""
+        if self._tables is None:
+            self._tables = np.split(self._increments, self.domain._increment_offsets[1:])
+        return self._tables
+
+    @property
+    def prefixes(self):
+        """prefixes[i][v] = sum of the first v increments of coordinate i."""
+        if self._prefixes is None:
+            self._prefixes = np.split(self._flat_prefixes, self.domain._level_offsets[1:])
+        return self._prefixes
 
     @classmethod
     def zero(cls, domain: LatticeDomain):
-        return cls(domain, 0.0, [np.zeros(k - 1) for k in domain.sizes])
+        return constant_function(domain, 0.0)
 
     @classmethod
     def from_level_values(cls, domain: LatticeDomain, level_values, constant: float = 0.0):
         """Build from per-coordinate value curves c_i(0..k_i-1); adds sum_i c_i(x_i)."""
-        tables = []
-        for i, curve in enumerate(level_values):
-            curve = np.asarray(curve, dtype=float)
+        curves = [np.asarray(c, dtype=float).reshape(-1) for c in level_values]
+        if len(curves) != domain.n:
+            raise ValueError(f"need {domain.n} value curves, got {len(curves)}")
+        for i, curve in enumerate(curves):
             if curve.size != domain.sizes[i]:
                 raise ValueError(
                     f"level_values[{i}]: expected {domain.sizes[i]} values, got {curve.size}"
                 )
-            tables.append(np.diff(curve))
-        base = sum(float(np.asarray(c)[0]) for c in level_values)
-        return cls(domain, constant + base, tables)
+        return cls._of_levels(domain, np.concatenate(curves), constant)
 
     def value(self, x) -> float:
         """Evaluate without touching the oracle counter."""
-        return self.constant + sum(self.prefixes[i][x[i]] for i in range(self.domain.n))
+        levels = self.domain._level_offsets + self.domain.require_batch([x])[0]
+        return self.constant + sum(self._flat_prefixes[levels].tolist())
 
     def values_at(self, X: np.ndarray) -> np.ndarray:
         """``value`` at each row of an (m, n) int array, summed in the same order."""
-        if self._flat_prefixes is None:
-            # all prefixes end to end; coordinate i's level v sits at offset i + v
-            self._flat_prefixes = np.concatenate(self.prefixes)
         # cumsum adds along each row one coordinate at a time, like ``value``
         terms = self._flat_prefixes[X + self.domain._level_offsets]
         return self.constant + np.cumsum(terms, axis=1)[:, -1]
@@ -317,35 +381,32 @@ class SeparableFunction(OracleFunction):
 
     def argmin_tables(self):
         """Per-coordinate levels minimising each prefix curve (lowest level on ties)."""
-        return tuple(int(np.argmin(p)) for p in self.prefixes)
+        return tuple(self._prefix_grid.argmin(axis=1).tolist())
 
     def __add__(self, other):
         if isinstance(other, SeparableFunction):
             _same_domain(self, other)
-            return SeparableFunction(
-                self.domain,
-                self.constant + other.constant,
-                [a + b for a, b in zip(self.tables, other.tables)],
-            )
+            return SeparableFunction._of_increments(self.domain, self.constant + other.constant,
+                                                    self._increments + other._increments)
         if isinstance(other, (int, float)):
-            return SeparableFunction(self.domain, self.constant + float(other), self.tables)
+            return SeparableFunction._of_increments(self.domain, self.constant + float(other),
+                                                    self._increments)
         return super().__add__(other)
 
     def __sub__(self, other):
         if isinstance(other, SeparableFunction):
             _same_domain(self, other)
-            return SeparableFunction(
-                self.domain,
-                self.constant - other.constant,
-                [a - b for a, b in zip(self.tables, other.tables)],
-            )
+            return SeparableFunction._of_increments(self.domain, self.constant - other.constant,
+                                                    self._increments - other._increments)
         if isinstance(other, (int, float)):
-            return SeparableFunction(self.domain, self.constant - float(other), self.tables)
+            return SeparableFunction._of_increments(self.domain, self.constant - float(other),
+                                                    self._increments)
         return super().__sub__(other)
 
     def __mul__(self, scalar):
         c = float(scalar)
-        return SeparableFunction(self.domain, c * self.constant, [c * t for t in self.tables])
+        return SeparableFunction._of_increments(self.domain, c * self.constant,
+                                                c * self._increments)
 
     __rmul__ = __mul__
 
@@ -357,7 +418,7 @@ class SeparableFunction(OracleFunction):
 
 
 def constant_function(domain: LatticeDomain, c: float) -> SeparableFunction:
-    return SeparableFunction(domain, c, [np.zeros(k - 1) for k in domain.sizes])
+    return SeparableFunction._of_increments(domain, c, np.zeros(domain._rises.size))
 
 
 def table_of(f: OracleFunction, cap=None) -> np.ndarray:

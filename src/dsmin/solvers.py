@@ -29,8 +29,7 @@ def minimize_separable(s: SeparableFunction, domain: Optional[LatticeDomain] = N
     if d != s.domain:
         raise ValueError("domain does not match the separable function")
     point = s.argmin_tables()
-    value = s.constant + sum(s.prefixes[i][point[i]] for i in range(d.n))
-    return point, float(value)
+    return point, s.value(point)
 
 
 def minimize_separable_cardinality(s: SeparableFunction, domain: Optional[LatticeDomain],
@@ -47,30 +46,32 @@ def minimize_separable_cardinality(s: SeparableFunction, domain: Optional[Lattic
     budget = int(budget)
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    total_levels = sum(k - 1 for k in d.sizes)
-    b_cap = min(budget, total_levels)
+    b_cap = min(budget, d._rises.size)
 
-    # best[i][b]: min over x_i..x_{n-1} with sum <= b of their prefix sums
-    best = [np.zeros(b_cap + 1) for _ in range(d.n + 1)]
+    # One min-plus step per coordinate, from the last: with best[b] the minimum
+    # over x_{i+1}.. of their prefix sums under sum <= b, totals[b, l] is that
+    # for budget b - l plus coordinate i's prefix at level l.  A level above
+    # the top or the budget meets +inf, from the padding of the prefix grid or
+    # from best[b_cap + 1].  argmin takes the lowest minimising level.
+    grid = s._prefix_grid
+    left = np.arange(b_cap + 1)[:, None] - np.arange(grid.shape[1])[None, :]
+    left[left < 0] = b_cap + 1
+    rows = np.arange(b_cap + 1)
+    best = np.zeros(b_cap + 2)
+    best[-1] = np.inf
+    choice = np.empty((d.n, b_cap + 1), dtype=np.int64)
     for i in range(d.n - 1, -1, -1):
-        pref = s.prefixes[i]
-        for b in range(b_cap + 1):
-            lmax = min(d.sizes[i] - 1, b)
-            best[i][b] = min(pref[level] + best[i + 1][b - level]
-                             for level in range(lmax + 1))
+        totals = grid[i] + best[left]
+        choice[i] = totals.argmin(axis=1)
+        best[:-1] = totals[rows, choice[i]]
 
+    # the lowest level first, coordinate by coordinate: the lexicographically smallest minimiser
     point = []
     b = b_cap
     for i in range(d.n):
-        pref = s.prefixes[i]
-        lmax = min(d.sizes[i] - 1, b)
-        target = best[i][b]
-        for level in range(lmax + 1):
-            if pref[level] + best[i + 1][b - level] == target:
-                point.append(level)
-                b -= level
-                break
-    return tuple(point), float(s.constant + best[0][b_cap])
+        point.append(int(choice[i, b]))
+        b -= point[-1]
+    return tuple(point), float(s.constant + best[b_cap])
 
 
 def double_greedy_maximize(g: OracleFunction):
@@ -262,7 +263,7 @@ def _min_norm_point_sfm(f: OracleFunction, budget: int) -> SfmResult:
     shifts = _level_shifts(d)
     _, s = greedy_extension(f, Profile.constant(d, 0.5))
     f0 = s.constant
-    atoms = np.concatenate(s.tables)[None, :]  # one per row
+    atoms = s._increments[None, :]  # one per row
     greedy = np.ones(1, dtype=bool)            # greedy vector (True) or level shift
     weights = np.ones(1)
     best_point, best_value, best_ext, lower = None, math.inf, math.inf, -math.inf
@@ -282,13 +283,13 @@ def _min_norm_point_sfm(f: OracleFunction, budget: int) -> SfmResult:
             best_point, best_value = point, value
         best_ext = min(best_ext, ext)
         w = weights[greedy] @ atoms[greedy]
-        _, bound = minimize_separable(SeparableFunction(d, f0, _split_levels(d, w)))
+        _, bound = minimize_separable(SeparableFunction._of_increments(d, f0, w))
         lower = max(lower, bound)
         if best_value - lower <= SFM_TOL * max(1.0, abs(best_value)) or iteration == budget:
             break
         # greedy_extension reads only the order of the entries, so rho may leave [0, 1]
         _, s = greedy_extension(f, Profile(d, _split_levels(d, rho), validate=False))
-        vertex = np.concatenate(s.tables)
+        vertex = s._increments
         if z @ z - z @ vertex <= CORRAL_TOL * max(1.0, z @ z):
             break  # no greedy vector lowers |z|: z is the least-norm point
         atoms, greedy, weights = _add_atom(atoms, greedy, weights, vertex, True)

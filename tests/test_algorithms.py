@@ -61,6 +61,42 @@ class TestCertification:
         assert not up_points
 
 
+    def test_chain_family_is_built_when_read(self, monkeypatch):
+        p = sqrt_sum_problem()
+        built = []
+
+        def counting(dom, y):
+            built.append(y)
+            return d.adjacent_chain_family(dom, y)
+
+        monkeypatch.setattr(d.algorithms, "adjacent_chain_family", counting)
+        cert = d.certify_local_minimum(p, (1, 2))
+        assert built == []
+        family = cert.chain_family
+        assert built == [(1, 2)] and cert.chain_family is family
+        expected = d.adjacent_chain_family(p.domain, (1, 2))
+        assert [c.increments for c in family] == [c.increments for c in expected]
+
+
+class TestSeparableF:
+    """Bounds read from a SeparableFunction's tables steer the loop as evaluated ones do."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_runs_as_behind_a_plain_oracle(self, seed):
+        specs = d.generate_ensemble("coverage", {"count": 2, "sizes": (4, 3, 5)}, seed=seed)
+        for spec in specs:
+            p, _ = d.build_problem(spec, validate=False)
+            assert isinstance(p.f, d.SeparableFunction)
+            plain = d.DsProblem(d.OracleFunction(p.domain, batch_fn=p.f._batch), p.g)
+            for options in ({"algorithm": "modmod"}, {"algorithm": "modmod", "budget": 3},
+                            {"algorithm": "supsub"}):
+                runs = [d.solve(q, d.SolveOptions(**options)) for q in (p, plain)]
+                sep, ref = [(r.status, [it.point for it in r.iterates],
+                             [(e.label, e.accepted) for e in r.events],
+                             r.certificate and r.certificate.neighbors) for r in runs]
+                assert sep == ref, options
+
+
 class TestToyProblem:
     def test_all_algorithms_reach_global_min(self):
         for algo in ("subsup", "supsub", "modmod"):

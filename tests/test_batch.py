@@ -135,8 +135,10 @@ def _built_in_and_scalar_only():
     (1.5, 0), (1, 0.5),                                   # fractional
     (math.nan, 0), (math.inf, 0), (-math.inf, 0), (1e300, 0),
     (True, False),                                        # booleans
+    (True, 0), (0, True), (np.True_, 1), (1.0, True),     # booleans mixed with numbers
     (0, 1, 0), (0,), 4,                                   # wrong width
     ((0, 1), 0), ("a", 0), (None, 0),                     # ragged, non-numeric
+    (10**30, 0), (0, -10**30),                            # integers beyond int64
 ], ids=repr)
 def test_call_and_batch_of_one_refuse_the_same_points(bad):
     for f in _built_in_and_scalar_only():
@@ -145,6 +147,15 @@ def test_call_and_batch_of_one_refuse_the_same_points(bad):
         with pytest.raises(d.DomainError):
             f.batch([bad])
         assert f.call_count == 0
+
+
+@pytest.mark.parametrize("bad", [(10**30, 0), (0, -10**30)], ids=repr)
+def test_integers_beyond_int64_are_outside_the_domain(bad):
+    f = d.TableFunction(d.LatticeDomain([3, 3]), np.arange(9.0))
+    for attempt in (lambda: f(bad), lambda: f.batch([bad])):
+        with pytest.raises(d.DomainError, match=r"point .* outside domain"):
+            attempt()
+    assert f.call_count == 0
 
 
 def test_call_and_batch_of_one_accept_the_same_points():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dsmin as d
 from conftest import dr_ensemble, quadratic_submodular, submodular_ensemble
@@ -145,3 +147,32 @@ class TestSeparableUpperBound:
                     assert m.value(anchor) == pytest.approx(fn(anchor), abs=1e-9)
                     for x in fn.domain.points():
                         assert m.value(x) >= fn(x) - 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(2, 6), min_size=1, max_size=4).filter(
+           lambda sizes: math.prod(sizes) <= 500),
+       seed=st.integers(0, 10**6), slack=st.sampled_from([0.0, 0.5, 3.0]))
+def test_separable_f_bounds_are_read_from_its_tables(sizes, seed, slack):
+    """A SeparableFunction's bounds make no f calls and agree with the evaluated ones."""
+    rng = np.random.default_rng(seed)
+    dom = d.LatticeDomain(sizes)
+    f = d.SeparableFunction(dom, float(rng.normal()), [rng.normal(size=k - 1) for k in sizes])
+    coeff = d.dr_violation(f) + slack
+    x = tuple(rng.integers(0, sizes).tolist())
+    values = f.values_over_domain()
+    f.reset_count()
+    bounds = {variant: d.separable_upper_bound(f, coeff, x, variant) for variant in d.UB_VARIANTS}
+    assert f.call_count == 0
+    # the general path, through the same values
+    plain = d.OracleFunction(dom, batch_fn=f._batch)
+    for variant, bound in bounds.items():
+        got = bound.values_over_domain()
+        ref = d.separable_upper_bound(plain, coeff, x, variant).values_over_domain()
+        scale = max(1.0, np.abs(ref).max())
+        assert np.abs(got - ref).max() <= 1e-12 * scale, variant
+        assert (got >= values - 1e-9 * scale).all(), variant
+        assert got[dom.flat_index(x)] == pytest.approx(values[dom.flat_index(x)],
+                                                       rel=1e-12, abs=1e-12 * scale)
+        if variant in ("tight1", "tight2"):
+            assert got.tobytes() == values.tobytes()

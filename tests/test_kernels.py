@@ -6,6 +6,11 @@ Each of ``check_submodular``, ``check_dr``, ``check_monotone``,
 slices of the table.  The scalar scans below are the earlier point-by-point
 implementations, kept unchanged as references: verdicts, witnesses, counts
 and returned values must agree bit for bit, ties included.
+
+``SeparableFunction`` keeps its increments and prefix sums as flat arrays,
+and ``minimize_separable_cardinality`` is a min-plus step per coordinate over
+them; both are checked bit for bit against the per-table formulas and the
+triple-loop dynamic program they replaced.
 """
 
 import math
@@ -162,6 +167,39 @@ def ref_brute_force_minimize(v, cap=None):
         if val < best_value:
             best_point, best_value = x, val
     return best_point, best_value
+
+
+def ref_minimize_separable_cardinality(s, domain, budget):
+    d = domain or s.domain
+    if d != s.domain:
+        raise ValueError("domain does not match the separable function")
+    budget = int(budget)
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    total_levels = sum(k - 1 for k in d.sizes)
+    b_cap = min(budget, total_levels)
+
+    # best[i][b]: min over x_i..x_{n-1} with sum <= b of their prefix sums
+    best = [np.zeros(b_cap + 1) for _ in range(d.n + 1)]
+    for i in range(d.n - 1, -1, -1):
+        pref = s.prefixes[i]
+        for b in range(b_cap + 1):
+            lmax = min(d.sizes[i] - 1, b)
+            best[i][b] = min(pref[level] + best[i + 1][b - level]
+                             for level in range(lmax + 1))
+
+    point = []
+    b = b_cap
+    for i in range(d.n):
+        pref = s.prefixes[i]
+        lmax = min(d.sizes[i] - 1, b)
+        target = best[i][b]
+        for level in range(lmax + 1):
+            if pref[level] + best[i + 1][b - level] == target:
+                point.append(level)
+                b -= level
+                break
+    return tuple(point), float(s.constant + best[0][b_cap])
 
 
 # ---------------------------------------------------------------------------
@@ -324,3 +362,63 @@ def test_above_the_cap_nothing_is_counted():
         with pytest.raises(d.CapExceededError):
             run()
         assert fn.call_count == 0
+
+
+# ---------------------------------------------------------------------------
+# Separable functions: the flat layout and the cardinality DP
+# ---------------------------------------------------------------------------
+
+def _tables(sizes, seed, integer):
+    """Increment tables; integer ones tie often and hold -0.0, which a sum can lose."""
+    rng = np.random.default_rng(seed)
+    if integer:
+        return [np.where(rng.random(k - 1) < 0.2, -0.0, rng.integers(-2, 3, size=k - 1) * 1.0)
+                for k in sizes]
+    return [rng.normal(size=k - 1) for k in sizes]
+
+
+def _ref_prefixes(tables):
+    return [np.concatenate(([0.0], np.cumsum(t))) for t in tables]
+
+
+def _assert_flat_layout(s, constant, tables):
+    """s's tables, prefixes, evaluation and minima against the per-table formulas, bitwise."""
+    prefixes = _ref_prefixes(tables)
+    assert _bits(s.constant) == _bits(float(constant))
+    assert [t.tobytes() for t in s.tables] == [np.asarray(t).tobytes() for t in tables]
+    assert [p.tobytes() for p in s.prefixes] == [p.tobytes() for p in prefixes]
+    X = s.domain.point_array()
+    expected = [s.constant + sum(prefixes[i][x[i]] for i in range(s.domain.n)) for x in X]
+    assert s.values_at(X).tobytes() == np.array(expected).tobytes()
+    point = tuple(int(np.argmin(p)) for p in prefixes)
+    assert s.argmin_tables() == point
+    value = float(s.constant + sum(prefixes[i][point[i]] for i in range(s.domain.n)))
+    assert _bits(d.minimize_separable(s)) == _bits((point, value))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=sizes_st, seed=st.integers(0, 10**6), integer=st.booleans(),
+       c=st.sampled_from([2.5, -1.0, 0.0]))
+def test_flat_layout_and_arithmetic_match_per_table_formulas(sizes, seed, integer, c):
+    dom = d.LatticeDomain(sizes)
+    ta, tb = _tables(sizes, seed, integer), _tables(sizes, seed + 1, integer)
+    a, b = d.SeparableFunction(dom, 0.75, ta), d.SeparableFunction(dom, -0.5, tb)
+    _assert_flat_layout(a, 0.75, ta)
+    _assert_flat_layout(a + b, 0.75 + -0.5, [x + y for x, y in zip(ta, tb)])
+    _assert_flat_layout(a - b, 0.75 - -0.5, [x - y for x, y in zip(ta, tb)])
+    _assert_flat_layout(c * a, c * 0.75, [c * x for x in ta])
+    _assert_flat_layout(a + c, 0.75 + c, ta)
+    curves = [np.concatenate(([float(i)], t)) for i, t in enumerate(ta)]
+    _assert_flat_layout(d.SeparableFunction.from_level_values(dom, curves, 0.25),
+                        0.25 + sum(float(c[0]) for c in curves), [np.diff(c) for c in curves])
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(2, 6), min_size=1, max_size=6), seed=st.integers(0, 10**6),
+       integer=st.booleans())
+def test_cardinality_dp_matches_the_scalar_reference(sizes, seed, integer):
+    """Every budget from 0 to one past the total, the tie rule included."""
+    s = d.SeparableFunction(d.LatticeDomain(sizes), 0.5, _tables(sizes, seed, integer))
+    for budget in range(sum(sizes) - len(sizes) + 2):
+        got = d.minimize_separable_cardinality(s, None, budget)
+        assert _bits(got) == _bits(ref_minimize_separable_cardinality(s, None, budget)), budget

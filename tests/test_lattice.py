@@ -159,6 +159,12 @@ class TestSeparable:
                     assert s.value(x) + s.value(y) == pytest.approx(
                         s.value(lo) + s.value(hi), abs=1e-12)
 
+    def test_value_refuses_points_outside_the_domain(self):
+        s = d.SeparableFunction(d.LatticeDomain([3, 3]), 0.0, [[1.0, 2.0], [3.0, 4.0]])
+        for bad in [(3, 0), (0, -1), (1,), (1.5, 0)]:
+            with pytest.raises(d.DomainError):
+                s.value(bad)
+
     def test_from_level_values(self):
         dom = d.LatticeDomain([3, 2])
         s = d.SeparableFunction.from_level_values(dom, [[0.0, 1.0, 1.5], [0.0, 2.0]])
