@@ -166,25 +166,32 @@ def certify_local_minimum(p: DsProblem, x, tol: float = DESCENT_TOL,
     """Check v(x) <= v(x +- e_i) for every feasible unit neighbour.
 
     2n evaluations of v; with a cardinality budget, up-neighbours violating
-    it are not feasible and are skipped.  f and g are each evaluated in one
-    batch over x and its feasible neighbours, ordered by coordinate, the
-    up-neighbour first.  The certificate's ``chain_family``, the adjacent
-    chain family at x, is built only when read.
+    it are not feasible and are skipped.  f and g are each evaluated once at
+    x, then in one batch over the feasible neighbours, ordered by
+    coordinate, the up-neighbour first: 1 + neighbours calls of each.  The MM
+    loop has v(x) already and evaluates the neighbours only.  The
+    certificate's ``chain_family``, the adjacent chain family at x, is built
+    only when read.
     """
+    x = p.domain.require(x)
+    return _certify(p, x, p.f(x) - p.g(x), tol, budget)
+
+
+def _certify(p: DsProblem, x: tuple, vx: float, tol: float = DESCENT_TOL,
+             budget: Optional[int] = None) -> Certificate:
+    """``certify_local_minimum`` at a domain point x whose v(x) is known to be vx."""
     d = p.domain
-    x = d.require(x)
-    # row 0 is x, rows 2i+1 and 2i+2 are x + e_i and x - e_i
-    points = np.repeat(np.array(x)[None], 2 * d.n + 1, axis=0)
-    points[np.arange(1, 2 * d.n + 1), np.repeat(np.arange(d.n), 2)] += np.tile([1, -1], d.n)
-    feasible = ((points >= 0) & (points <= np.array(d.k_max))).all(axis=1)
+    # rows 2i and 2i+1 are x + e_i and x - e_i
+    points = np.repeat(np.array(x)[None], 2 * d.n, axis=0)
+    points[np.arange(2 * d.n), np.repeat(np.arange(d.n), 2)] += np.tile([1, -1], d.n)
+    feasible = ((points >= 0) & (points <= d._k_max)).all(axis=1)
     if budget is not None:
-        feasible[1:] &= points[1:].sum(axis=1) <= budget
+        feasible &= points.sum(axis=1) <= budget
     points = points[feasible]
-    values = (p.f.batch(points) - p.g.batch(points)).tolist()
-    vx = values[0]
-    neighbors = [(tuple(nbr), vn) for nbr, vn in zip(points[1:].tolist(), values[1:])]
+    values = (p.f._batch(points) - p.g._batch(points)).tolist() if len(points) else []
+    neighbors = list(zip(map(tuple, points.tolist()), values))
     # the first lowest neighbour descends, or none does
-    best = neighbors[int(np.argmin(values[1:]))] if neighbors else None
+    best = neighbors[int(np.argmin(values))] if neighbors else None
     if best is not None and not best[1] < vx - tol:
         best = None
     return Certificate(best is None, x, vx, neighbors, best, d)
@@ -251,7 +258,7 @@ def _run_loop(p: DsProblem, opts: SolveOptions, propose: Callable) -> SolveRepor
         if moved:
             continue
 
-        cert = certify_local_minimum(p, x, budget=opts.budget)
+        cert = _certify(p, x, vx, budget=opts.budget)
         if cert.passed:
             status = "certified_local_min"
             certificate = cert

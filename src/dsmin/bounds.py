@@ -140,7 +140,7 @@ def dr_upper_bound(h: OracleFunction, x, variant: str = "grow1") -> SeparableFun
     else:
         second = np.empty((0, d.n), dtype=np.int64)
 
-    values = h.batch(np.vstack([np.array(shared), first, second]))
+    values = h._batch(np.vstack([np.array(shared), first, second]))
     hx, ref = values[0], values[len(shared) - 1]
     h_first = values[len(shared):len(shared) + coord.size]
     h_second = values[len(shared) + coord.size:]

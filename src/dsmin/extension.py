@@ -159,7 +159,7 @@ def greedy_extension(f: OracleFunction, profile: Profile):
     order = np.lexsort((levels, coords, -weights))
 
     walk = coords[order]
-    values = f.batch(_walk(d, walk))
+    values = f._batch(_walk(d, walk))
     gains = np.diff(values)
     # accumulated in walk order, one entry at a time
     value = np.cumsum(np.concatenate((values[:1], weights[order] * gains)))[-1]
@@ -265,7 +265,7 @@ def chain_lower_bound(f: OracleFunction, y, chain: Chain) -> SeparableFunction:
         raise ValueError("chain domain does not match the function domain")
     if not chain.contains(y):
         raise ValueError(f"chain does not contain {y}; the bound would not be tight there")
-    values = f.batch(chain.point_array())
+    values = f._batch(chain.point_array())
     return SeparableFunction._of_increments(d, float(values[0]),
                                             _walk_increments(chain._incs, np.diff(values)))
 

@@ -442,7 +442,7 @@ class _Tabulation:
         d = f.domain
         d.check_cap(cap, what=what)
         blocks = np.split(np.arange(d.num_points), range(self._ROWS, d.num_points, self._ROWS))
-        self.values = np.concatenate([f.batch(np.stack(np.unravel_index(b, d.sizes), axis=1))
+        self.values = np.concatenate([f._batch(np.stack(np.unravel_index(b, d.sizes), axis=1))
                                       for b in blocks]).reshape(d.sizes)
 
     def _at(self, reach, *steps):

@@ -191,18 +191,20 @@ def build_function(spec: dict, domain: LatticeDomain, slot: str, path: str) -> O
         curves = [np.asarray(c) * tradeoff for c in costs]
         return SeparableFunction.from_level_values(domain, curves)
 
-    # powers[i, level, j] = (1 - p_ij)^level: the chance that `level` units
-    # of sensor i all miss region j.  The kernel looks the powers up instead
-    # of calling pow, whose last bit can depend on the array layout, and adds
-    # each point's regions with a row-wise sum (not a BLAS product, whose
-    # rounding depends on the batch shape), so a value does not depend on
-    # the batch it is evaluated in.
-    levels = np.arange(max(domain.sizes), dtype=float)
-    powers = (1.0 - probs)[:, None, :] ** levels[None, :, None]
-    coords = np.arange(domain.n)
+    # powers[i * width + level, j] = (1 - p_ij)^level: the chance that `level`
+    # units of sensor i all miss region j (levels at and above k_i are
+    # padding).  The kernel looks the powers up instead of calling pow, whose
+    # last bit can depend on the array layout, multiplies them in coordinate
+    # order and adds each point's regions with a row-wise sum (not a BLAS
+    # product, whose rounding depends on the batch shape), so a value does
+    # not depend on the batch it is evaluated in.
+    width = max(domain.sizes)
+    levels = np.arange(width, dtype=float)
+    powers = ((1.0 - probs)[:, None, :] ** levels[None, :, None]).reshape(domain.n * width, -1)
+    offsets = np.arange(domain.n) * width
 
     def eval_coverage(X, powers=powers, weights=weights):
-        undetected = np.prod(powers[coords, X], axis=1)
+        undetected = np.multiply.reduce(powers.take(X + offsets, axis=0), axis=1)
         return ((1.0 - undetected) * weights).sum(axis=1)
 
     return OracleFunction(domain, name=f"{slot}:coverage", batch_fn=eval_coverage)

@@ -85,7 +85,14 @@ def double_greedy_maximize(g: OracleFunction):
     tie the raise of a wins.  Ties among levels resolve to the lowest tied
     level on both sides: the one closest to a_i when raising a, but the one
     farthest from b_i when lowering b.  Both points then agree on the
-    coordinate.  Runs in O(sum k_i) oracle calls.
+    coordinate.
+
+    Each point is evaluated once: g(a) and g(b) at the start, then one batch
+    of the 2(k_i - 1) level rows per coordinate.  The new a and b are rows of
+    that batch or unchanged, so their values are carried forward, and the
+    returned value is the carried g(a).  That is exactly
+    2 + 2 * sum_i (k_i - 1) oracle calls.  The points are built in the
+    domain, so they are not validated again.
 
     For nonnegative submodular g the returned value is at least 1/3 of the
     maximum; the factor is inherited from the classical double greedy and
@@ -93,29 +100,36 @@ def double_greedy_maximize(g: OracleFunction):
     """
     d = g.domain
     a = np.zeros(d.n, dtype=np.int64)
-    b = np.array(d.k_max, dtype=np.int64)
+    b = d._k_max.copy()
+    ga, gb = g._batch(np.stack([a, b])).tolist()
     for i in range(d.n):
-        # one batch per coordinate: a, b, then a and b with coordinate i at
-        # every level in (a_i, b_i] and [a_i, b_i) respectively
+        # one batch per coordinate: a with coordinate i at every level in
+        # (a_i, b_i], then b with coordinate i at every level in [a_i, b_i)
         ups = np.arange(a[i] + 1, b[i] + 1)
-        downs = np.arange(a[i], b[i])
-        points = np.vstack([a, b, np.repeat(a[None], ups.size, axis=0),
-                            np.repeat(b[None], downs.size, axis=0)])
-        points[2:2 + ups.size, i] = ups
-        points[2 + ups.size:, i] = downs
-        values = g.batch(points)
-        up_gains = values[2:2 + ups.size] - values[0]
-        down_gains = values[2 + ups.size:] - values[1]
+        downs = ups - 1
+        r = ups.size
+        points = np.empty((2 * r, d.n), dtype=np.int64)
+        points[:r] = a
+        points[r:] = b
+        points[:r, i] = ups
+        points[r:, i] = downs
+        values = g._batch(points)
+        up_gains = values[:r] - ga
+        down_gains = values[r:] - gb
         # the first best level on each side; a side whose best gain is not positive stays put
         up, down = up_gains.argmax(), down_gains.argmax()
         if max(up_gains[up], 0.0) >= max(down_gains[down], 0.0):
             chosen = ups[up] if up_gains[up] > 0 else a[i]
         else:
             chosen = downs[down]
+        # a with a_i = chosen is row chosen - a_i - 1, b with b_i = chosen is row r + chosen - a_i
+        if chosen != a[i]:
+            ga = float(values[chosen - a[i] - 1])
+        if chosen != b[i]:
+            gb = float(values[r + chosen - a[i]])
         a[i] = chosen
         b[i] = chosen
-    point = tuple(a.tolist())
-    return point, g(point)
+    return tuple(a.tolist()), ga
 
 
 def brute_force_minimize(v: OracleFunction, cap=None):
@@ -210,7 +224,7 @@ def _round_and_extend(f: OracleFunction, profile: Profile):
     distinct = np.ones(len(points), dtype=bool)
     distinct[1:] = (points[1:] != points[:-1]).any(axis=1)
     points = points[distinct]
-    values = f.batch(points)
+    values = f._batch(points)
     lengths = np.add.reduceat(np.diff(ts, prepend=0.0), np.flatnonzero(distinct))
     # the points also fall lexicographically, so the smallest tied point is the last
     k = len(points) - 1 - int(np.argmin(values[::-1]))

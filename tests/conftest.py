@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 import dsmin as d
+from dsmin.lattice import Verdict, Witness
 
 
 def quadratic_submodular(seed, sizes=(4, 4, 4), dr=False, integer=False):
@@ -133,3 +134,18 @@ def sqrt_sum_problem():
     f = d.OracleFunction(dom, lambda x: math.sqrt(x[0] + x[1]))
     g = d.OracleFunction(dom, lambda x: float(x[0] + x[1]))
     return d.DsProblem(f, g)
+
+
+def bits(value):
+    """A comparable form of a result in which floats compare by their bits."""
+    if isinstance(value, float):
+        return ("float", np.float64(value).tobytes())
+    if isinstance(value, (tuple, list)):
+        return tuple(bits(v) for v in value)
+    if isinstance(value, Witness):
+        assert all(type(c) is int for c in value.point)
+        assert type(value.i) is int and (value.j is None or type(value.j) is int)
+        return ("witness", value.point, value.i, value.j, bits(value.value), value.kind)
+    if isinstance(value, Verdict):
+        return ("verdict", value.holds, bits(value.witness), value.checked)
+    return value

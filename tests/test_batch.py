@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dsmin as d
-from conftest import coverage_function, quadratic_submodular
+from conftest import bits, coverage_function, quadratic_submodular
 
 sizes_st = st.lists(st.integers(2, 5), min_size=1, max_size=4)
 
@@ -309,8 +309,20 @@ def test_double_greedy_matches_reference_and_call_count(sizes, seed):
     g = problem.g - d.SeparableFunction(problem.domain, 0.0,
                                         [rng.uniform(0, 0.6, size=k - 1) for k in sizes])
     ref = _counted(g)
-    assert d.double_greedy_maximize(g) == _ref_double_greedy(ref)
-    assert g.call_count == ref.call_count == sum(2 * k for k in sizes) + 1
+    assert bits(d.double_greedy_maximize(g)) == bits(_ref_double_greedy(ref))
+    # g(0) and g(k_max) once, then the 2(k_i - 1) level rows of each coordinate;
+    # the reference evaluates a and b again per coordinate and the result at the end
+    assert g.call_count == 2 + sum(2 * (k - 1) for k in sizes)
+    assert ref.call_count == sum(2 * k for k in sizes) + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=sizes_st, seed=st.integers(0, 10**6), top=st.integers(0, 2))
+def test_double_greedy_integer_ties_match_reference(sizes, seed, top):
+    """Values in {0, ..., top} tie often: the carried values must choose as the reference."""
+    dom = d.LatticeDomain(sizes)
+    g = d.TableFunction(dom, np.random.default_rng(seed).integers(0, top + 1, dom.num_points))
+    assert bits(d.double_greedy_maximize(g)) == bits(_ref_double_greedy(_counted(g)))
 
 
 def test_double_greedy_ties_keep_scalar_order():
@@ -404,6 +416,31 @@ def test_certificate_one_call_per_feasible_neighbour(budget):
     assert cert.value == problem.v(x)
     for point, value in cert.neighbors:
         assert value == problem.v(point)
+
+
+@pytest.mark.parametrize("budget", [None, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_loop_certificate_evaluates_only_the_neighbours(seed, budget):
+    """The loop hands its certificate the v(x) it recorded: one call per neighbour.
+
+    modmod with a separable f evaluates f only to record points and in the
+    certificate, and g, after the last recorded point, only in the final
+    iteration's chain bound (sum(k_i - 1) + 1 calls) and in the certificate.
+    """
+    problem = _coverage_g((3, 4, 2, 3), seed)
+    coeff = d.dr_violation(problem.f)
+    problem.f.reset_count()
+    report = d.solve(problem, d.SolveOptions(algorithm="modmod", dr_coeff=coeff, budget=budget))
+    assert report.status == "certified_local_min"
+    cert, last = report.certificate, report.events[-1]
+    chain = 0 if last.t == report.iterates[-1].t + 1 else sum(k - 1 for k in (3, 4, 2, 3)) + 1
+    assert problem.f.call_count - last.calls_f == len(cert.neighbors)
+    assert problem.g.call_count - last.calls_g == chain + len(cert.neighbors)
+    assert bits(cert.value) == bits(report.iterates[-1].v)
+    # the certificate called directly evaluates x too, and agrees bit for bit
+    public = d.certify_local_minimum(problem, report.final_point, budget=budget)
+    assert bits((public.value, public.neighbors, public.best_descending)) == \
+        bits((cert.value, cert.neighbors, cert.best_descending))
 
 
 def test_chain_validates_increments_without_points():

@@ -11,6 +11,9 @@ and returned values must agree bit for bit, ties included.
 and ``minimize_separable_cardinality`` is a min-plus step per coordinate over
 them; both are checked bit for bit against the per-table formulas and the
 triple-loop dynamic program they replaced.
+
+The coverage side's batch kernel gathers from a flat powers array; the
+two-index gather it replaced is kept as a reference, equal bit for bit.
 """
 
 import math
@@ -23,7 +26,7 @@ from hypothesis import strategies as st
 import dsmin as d
 from dsmin.lattice import (CHECK_TOL, Verdict, Witness, second_difference_cross,
                           second_difference_within)
-from conftest import coverage_function, quadratic_submodular
+from conftest import bits, coverage_function, quadratic_submodular
 
 sizes_st = st.lists(st.integers(2, 5), min_size=1, max_size=4)
 
@@ -202,23 +205,17 @@ def ref_minimize_separable_cardinality(s, domain, budget):
     return tuple(point), float(s.constant + best[0][b_cap])
 
 
-# ---------------------------------------------------------------------------
-# Bitwise comparison
-# ---------------------------------------------------------------------------
+def ref_coverage_kernel(probs, weights, sizes):
+    """The coverage side's batch kernel indexing an (n, max k, regions) powers array."""
+    levels = np.arange(max(sizes), dtype=float)
+    powers = (1.0 - probs)[:, None, :] ** levels[None, :, None]
+    coords = np.arange(len(sizes))
 
-def _bits(value):
-    """A comparable form of a result in which floats compare by their bits."""
-    if isinstance(value, float):
-        return ("float", np.float64(value).tobytes())
-    if isinstance(value, (tuple, list)):
-        return tuple(_bits(v) for v in value)
-    if isinstance(value, Witness):
-        assert all(type(c) is int for c in value.point)
-        assert type(value.i) is int and (value.j is None or type(value.j) is int)
-        return ("witness", value.point, value.i, value.j, _bits(value.value), value.kind)
-    if isinstance(value, Verdict):
-        return ("verdict", value.holds, _bits(value.witness), value.checked)
-    return value
+    def eval_coverage(X):
+        undetected = np.prod(powers[coords, X], axis=1)
+        return ((1.0 - undetected) * weights).sum(axis=1)
+
+    return eval_coverage
 
 
 def _counted(fn):
@@ -252,7 +249,7 @@ def _assert_matches(fn, tol=CHECK_TOL):
         kwargs = {"tol": tol} if label.startswith("check") else {}
         fn.reset_count()
         got = new(fn, **kwargs)
-        assert _bits(got) == _bits(ref(_counted(fn), **kwargs)), label
+        assert bits(got) == bits(ref(_counted(fn), **kwargs)), label
         assert fn.call_count == fn.domain.num_points, label
 
 
@@ -312,7 +309,7 @@ def test_base_vertex_check_matches_scalar_scan(sizes, seed, integer):
         for weights in (_weights(fn, seed), _weights(fn, seed + 1)):
             fn.reset_count()
             got = d.base_vertex_check(fn, weights)
-            assert _bits(got) == _bits(ref_base_vertex_check(_counted(fn), weights))
+            assert bits(got) == bits(ref_base_vertex_check(_counted(fn), weights))
             assert fn.call_count == fn.domain.num_points
 
 
@@ -325,7 +322,7 @@ def test_base_vertex_check_failures_part_way_and_at_the_top():
                                    (top_only, "base_equality", 9)):
         got = d.base_vertex_check(f, weights)
         assert not got and got.witness.kind == kind and got.checked == checked
-        assert _bits(got) == _bits(ref_base_vertex_check(_counted(f), weights))
+        assert bits(got) == bits(ref_base_vertex_check(_counted(f), weights))
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +381,7 @@ def _ref_prefixes(tables):
 def _assert_flat_layout(s, constant, tables):
     """s's tables, prefixes, evaluation and minima against the per-table formulas, bitwise."""
     prefixes = _ref_prefixes(tables)
-    assert _bits(s.constant) == _bits(float(constant))
+    assert bits(s.constant) == bits(float(constant))
     assert [t.tobytes() for t in s.tables] == [np.asarray(t).tobytes() for t in tables]
     assert [p.tobytes() for p in s.prefixes] == [p.tobytes() for p in prefixes]
     X = s.domain.point_array()
@@ -393,7 +390,7 @@ def _assert_flat_layout(s, constant, tables):
     point = tuple(int(np.argmin(p)) for p in prefixes)
     assert s.argmin_tables() == point
     value = float(s.constant + sum(prefixes[i][point[i]] for i in range(s.domain.n)))
-    assert _bits(d.minimize_separable(s)) == _bits((point, value))
+    assert bits(d.minimize_separable(s)) == bits((point, value))
 
 
 @settings(max_examples=60, deadline=None)
@@ -421,4 +418,29 @@ def test_cardinality_dp_matches_the_scalar_reference(sizes, seed, integer):
     s = d.SeparableFunction(d.LatticeDomain(sizes), 0.5, _tables(sizes, seed, integer))
     for budget in range(sum(sizes) - len(sizes) + 2):
         got = d.minimize_separable_cardinality(s, None, budget)
-        assert _bits(got) == _bits(ref_minimize_separable_cardinality(s, None, budget)), budget
+        assert bits(got) == bits(ref_minimize_separable_cardinality(s, None, budget)), budget
+
+
+# ---------------------------------------------------------------------------
+# The coverage kernel
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(2, 7), min_size=1, max_size=8), regions=st.integers(1, 9),
+       m=st.integers(1, 1100), seed=st.integers(0, 10**6))
+def test_coverage_kernel_matches_the_indexed_reference(sizes, regions, m, seed):
+    """Unequal sizes leave padding levels; some rows sit at k_max in every coordinate."""
+    rng = np.random.default_rng(seed)
+    dom = d.LatticeDomain(sizes)
+    probs = rng.uniform(0.0, 1.0, size=(dom.n, regions))
+    weights = rng.uniform(-1.0, 2.0, size=regions)
+    spec = {"kind": "coverage_tradeoff", "probs": probs.tolist(), "weights": weights.tolist(),
+            "cost_tables": [list(range(k)) for k in sizes]}
+    g = d.build_function(spec, dom, "g", "g")
+    X = rng.integers(0, sizes, size=(m, dom.n))
+    X[rng.random(m) < 0.1] = dom.k_max
+    X[-1] = dom.k_max
+    expected = ref_coverage_kernel(probs, weights, sizes)(X)
+    assert g.batch(X).tobytes() == expected.tobytes()
+    # a row's value does not depend on the batch it is evaluated in
+    assert g.batch(X[-1:]).tobytes() == expected[-1:].tobytes()
