@@ -174,12 +174,16 @@ def certify_local_minimum(p: DsProblem, x, tol: float = DESCENT_TOL,
     only when read.
     """
     x = p.domain.require(x)
-    return _certify(p, x, p.f(x) - p.g(x), tol, budget)
+    return _certify(p, x, p.f(x) - p.g(x), tol, budget)[0]
 
 
 def _certify(p: DsProblem, x: tuple, vx: float, tol: float = DESCENT_TOL,
-             budget: Optional[int] = None) -> Certificate:
-    """``certify_local_minimum`` at a domain point x whose v(x) is known to be vx."""
+             budget: Optional[int] = None):
+    """``certify_local_minimum`` at a domain point x whose v(x) is known to be vx.
+
+    Returns the certificate and (f, g) at its best descending neighbour, or
+    None when it passes.
+    """
     d = p.domain
     # rows 2i and 2i+1 are x + e_i and x - e_i
     points = np.repeat(np.array(x)[None], 2 * d.n, axis=0)
@@ -188,13 +192,15 @@ def _certify(p: DsProblem, x: tuple, vx: float, tol: float = DESCENT_TOL,
     if budget is not None:
         feasible &= points.sum(axis=1) <= budget
     points = points[feasible]
-    values = (p.f._batch(points) - p.g._batch(points)).tolist() if len(points) else []
+    f_values, g_values = (p.f._batch(points), p.g._batch(points)) if len(points) else ([], [])
+    values = np.subtract(f_values, g_values).tolist()
     neighbors = list(zip(map(tuple, points.tolist()), values))
     # the first lowest neighbour descends, or none does
-    best = neighbors[int(np.argmin(values))] if neighbors else None
-    if best is not None and not best[1] < vx - tol:
-        best = None
-    return Certificate(best is None, x, vx, neighbors, best, d)
+    k = int(np.argmin(values)) if neighbors else None
+    if k is None or not values[k] < vx - tol:
+        return Certificate(True, x, vx, neighbors, None, d), None
+    return (Certificate(False, x, vx, neighbors, neighbors[k], d),
+            (float(f_values[k]), float(g_values[k])))
 
 
 def _resolve_dr_coeff(f: OracleFunction, opts: SolveOptions) -> float:
@@ -226,9 +232,12 @@ def _run_loop(p: DsProblem, opts: SolveOptions, propose: Callable) -> SolveRepor
     calls_f0 = p.f.call_count
     calls_g0 = p.g.call_count
 
-    def record(t, x, surrogate, accepted, label):
-        f_val = p.f(x)
-        g_val = p.g(x)
+    def record(t, x, surrogate, accepted, label, known=None):
+        """The event at x, a domain point; ``known`` is (f(x), g(x)) when already evaluated."""
+        if known is None:
+            X = np.array([x], dtype=np.int64)
+            known = float(p.f._batch(X)[0]), float(p.g._batch(X)[0])
+        f_val, g_val = known
         return IterateRecord(t, x, f_val - g_val, f_val, g_val, surrogate,
                              accepted, label,
                              p.f.call_count - calls_f0, p.g.call_count - calls_g0,
@@ -258,14 +267,14 @@ def _run_loop(p: DsProblem, opts: SolveOptions, propose: Callable) -> SolveRepor
         if moved:
             continue
 
-        cert = _certify(p, x, vx, budget=opts.budget)
+        cert, nbr_values = _certify(p, x, vx, budget=opts.budget)
         if cert.passed:
             status = "certified_local_min"
             certificate = cert
             break
         nbr, v_nbr = cert.best_descending
         if accept_step(vx, v_nbr, opts.epsilon):
-            rec = record(t, nbr, None, True, "descending_neighbor")
+            rec = record(t, nbr, None, True, "descending_neighbor", nbr_values)
             events.append(rec)
             iterates.append(rec)
             x, vx = nbr, rec.v

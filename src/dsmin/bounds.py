@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import OracleFunction, SeparableFunction, _Tabulation
+from .lattice import LatticeDomain, OracleFunction, SeparableFunction, _Tabulation, _prefix_sums
 
 UB_VARIANTS = ("grow1", "grow2", "tight1", "tight2")
 
@@ -79,13 +79,17 @@ def dr_split(f: OracleFunction, coeff: float) -> DrDecomposition:
     identity quad(x) + residual(x) = f(x) holds exactly by construction.
     """
     coeff = float(coeff)
-    if coeff < 0:
-        raise ValueError(f"quadratic coefficient must be >= 0, got {coeff}")
     d = f.domain
-    # increments of coeff * x^2: coeff * (2j - 1) at level j
-    quad = SeparableFunction._of_increments(d, 0.0, coeff * (2.0 * d._levels[d._rises] - 1.0))
+    quad = SeparableFunction._of_increments(d, 0.0, _quadratic_increments(d, coeff))
     residual = OracleFunction(d, batch_fn=lambda X: f._batch(X) - quad.values_at(X))
     return DrDecomposition(coeff, quad, residual)
+
+
+def _quadratic_increments(d: LatticeDomain, coeff: float) -> np.ndarray:
+    """The increments of coeff * sum_i x_i^2: coeff * (2j - 1) at level j."""
+    if coeff < 0:
+        raise ValueError(f"quadratic coefficient must be >= 0, got {coeff}")
+    return coeff * (2.0 * d._levels[d._rises] - 1.0)
 
 
 def dr_upper_bound(h: OracleFunction, x, variant: str = "grow1") -> SeparableFunction:
@@ -180,17 +184,19 @@ def separable_upper_bound(f: OracleFunction, coeff: float, x,
     then equal f itself and are returned as a copy of it.  Such a bound makes
     no oracle calls and agrees with the evaluated one up to rounding.
     """
-    split = dr_split(f, coeff)
     if not isinstance(f, SeparableFunction):
+        split = dr_split(f, coeff)
         return split.quad + dr_upper_bound(split.residual, x, variant)
+    d = f.domain
+    quad = _quadratic_increments(d, float(coeff))
     if variant not in UB_VARIANTS:
         raise ValueError(f"variant must be one of {UB_VARIANTS}, got {variant!r}")
-    d = f.domain
-    anchor = np.array(d.require(x))
+    anchor = d.require_batch([x])[0]
     if variant in ("tight1", "tight2"):
         return SeparableFunction._of_increments(d, f.constant, f._increments)
     # h_i(l) at offset _level_offsets[i] + l, for every coordinate and level
-    h = f._flat_prefixes - split.quad._flat_prefixes
+    quad_prefixes, _ = _prefix_sums(d, quad)
+    h = f._flat_prefixes - quad_prefixes
     coord, level = d._level_coords, d._levels
     at = anchor[coord]
     below = level < at
@@ -201,5 +207,12 @@ def separable_upper_bound(f: OracleFunction, coeff: float, x,
         first, second = np.where(below, top - at + level, level), np.where(below, top, at)
     start = d._level_offsets[coord]
     phi = h[start + first] - h[start + second]
-    hx = f.value(anchor) - split.quad.value(anchor)
-    return split.quad + SeparableFunction._of_levels(d, phi, hx)
+    # the sums of SeparableFunction.value, and the constant and increments of
+    # quad + SeparableFunction._of_levels(d, phi, hx), in the same order: one
+    # SeparableFunction, the same bit for bit
+    levels = d._level_offsets + anchor
+    hx = ((f.constant + sum(f._flat_prefixes[levels].tolist()))
+          - (0.0 + sum(quad_prefixes[levels].tolist())))
+    base = sum(phi[d._level_offsets].tolist())
+    return SeparableFunction._of_increments(
+        d, 0.0 + (hx + base), quad + (phi[d._rises] - phi[d._rises - 1]))

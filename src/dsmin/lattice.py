@@ -84,6 +84,22 @@ class LatticeDomain:
         self._increment_slots = (self._level_coords * (width - 1) + self._levels - 1)[self._rises]
         self._padding = np.arange(width)[None, :] >= np.array(sizes)[:, None]
 
+    @functools.cached_property
+    def _sweep_rows(self):
+        """Double greedy's rows, coordinate by coordinate (see ``_Sweep``).
+
+        Coordinate i's a-rows at levels 1..k_i - 1, then its b-rows at levels
+        0..k_i - 2: (each coordinate's slice of the rows, and each row's
+        coordinate, b-row flag and level).
+        """
+        rises = np.array(self.sizes) - 1
+        starts = np.concatenate(([0], np.cumsum(2 * rises))).tolist()
+        slices = [slice(s, e) for s, e in zip(starts[:-1], starts[1:])]
+        coords = np.repeat(np.arange(self.n), 2 * rises)
+        j = np.arange(starts[-1]) - np.array(starts[:-1])[coords]
+        upper = j >= rises[coords]
+        return slices, coords, upper, np.where(upper, j - rises[coords], j + 1)
+
     @property
     def zero(self) -> tuple:
         return (0,) * self.n
@@ -185,13 +201,19 @@ class OracleFunction:
     ``batch_fn``, a batch calls it once per row.
     """
 
+    # A subclass may define _batch_fn as a method instead: a bound method stored
+    # on the instance would put it in a reference cycle, freed only by the cyclic GC.
+    _fn = _batch_fn = None
+
     def __init__(self, domain: LatticeDomain, fn: Optional[Callable[[tuple], float]] = None,
                  name: str = "", batch_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None):
-        if fn is None and batch_fn is None:
+        if fn is not None:
+            self._fn = fn
+        if batch_fn is not None:
+            self._batch_fn = batch_fn
+        if self._fn is None and self._batch_fn is None:
             raise ValueError("an oracle needs fn or batch_fn")
         self.domain = domain
-        self._fn = fn
-        self._batch_fn = batch_fn
         self.name = name
         self._calls = 0
         self._lock = threading.Lock()
@@ -214,40 +236,43 @@ class OracleFunction:
 
     def _batch(self, X: np.ndarray) -> np.ndarray:
         """``batch`` for an array already validated against this domain."""
-        with self._lock:
-            self._calls += len(X)
-        if self._batch_fn is None:
-            values = np.array([float(self._fn(tuple(x))) for x in X.tolist()], dtype=float)
-        else:
-            values = np.asarray(self._batch_fn(X), dtype=float)
-            if values.shape != (len(X),):
-                raise ValueError(f"batch_fn returned shape {values.shape} for {len(X)} points")
-        # a sum of squares is finite if every value is, unless it overflows (vdot,
-        # unlike dot, raises no warning then)
-        if not math.isfinite(np.vdot(values, values)) and not np.isfinite(values).all():
-            k = int(np.argmin(np.isfinite(values)))
-            raise ValueError(f"{self!r} returned {values[k]} at point {tuple(X[k].tolist())}")
+        self._count(len(X))
+        values = self._values(X)
+        if not _finite(values):
+            self._refuse(values, X)
         return values
+
+    def _count(self, m: int):
+        with self._lock:
+            self._calls += m
+
+    def _values(self, X: np.ndarray) -> np.ndarray:
+        """The values at the rows of X, neither counted nor checked."""
+        if self._batch_fn is None:
+            return np.array([float(self._fn(tuple(x))) for x in X.tolist()], dtype=float)
+        values = np.asarray(self._batch_fn(X), dtype=float)
+        if values.shape != (len(X),):
+            raise ValueError(f"batch_fn returned shape {values.shape} for {len(X)} points")
+        return values
+
+    def _refuse(self, values: np.ndarray, X: np.ndarray):
+        k = int(np.argmin(np.isfinite(values)))
+        raise ValueError(f"{self!r} returned {values[k]} at point {tuple(X[k].tolist())}")
+
+    def _sweep(self) -> "_Sweep":
+        """A fresh sweep of double greedy's rows (see ``_Sweep``)."""
+        return _Sweep(self)
 
     # Composition helpers.  Derived oracles evaluate their parents through
     # the counting interface, so per-function call accounting stays honest.
     def __add__(self, other):
-        if isinstance(other, OracleFunction):
-            _same_domain(self, other)
-            return OracleFunction(self.domain, batch_fn=lambda X: self._batch(X) + other._batch(X))
-        c = float(other)
-        return OracleFunction(self.domain, batch_fn=lambda X: self._batch(X) + c)
+        return _Combined(np.add, self, other)
 
     def __sub__(self, other):
-        if isinstance(other, OracleFunction):
-            _same_domain(self, other)
-            return OracleFunction(self.domain, batch_fn=lambda X: self._batch(X) - other._batch(X))
-        c = float(other)
-        return OracleFunction(self.domain, batch_fn=lambda X: self._batch(X) - c)
+        return _Combined(np.subtract, self, other)
 
     def __mul__(self, scalar):
-        c = float(scalar)
-        return OracleFunction(self.domain, batch_fn=lambda X: c * self._batch(X))
+        return _Combined(np.multiply, self, float(scalar))
 
     __rmul__ = __mul__
 
@@ -259,9 +284,106 @@ class OracleFunction:
         return f"OracleFunction({label}, domain={list(self.domain.sizes)})"
 
 
+def _finite(values: np.ndarray) -> bool:
+    # a sum of squares is finite if every value is, unless it overflows (vdot,
+    # unlike dot, raises no warning then)
+    return math.isfinite(np.vdot(values, values)) or bool(np.isfinite(values).all())
+
+
 def _same_domain(a: OracleFunction, b: OracleFunction):
     if a.domain != b.domain:
         raise ValueError(f"domain mismatch: {a.domain} vs {b.domain}")
+
+
+class _Combined(OracleFunction):
+    """``op`` of a parent's values and a second parent's values or a constant.
+
+    The arithmetic operators build it: f + g and f - g (``np.add`` and
+    ``np.subtract`` of two parents), f + c and f - c (of one parent and c),
+    and c * f (``np.multiply``).  Its parents are evaluated through their
+    counting interface, on the array it was given, and its sweep combines
+    theirs.
+    """
+
+    def __init__(self, op, parent: OracleFunction, other):
+        if isinstance(other, OracleFunction):
+            _same_domain(parent, other)
+            self._parents, self._constant = (parent, other), ()
+        else:
+            self._parents, self._constant = (parent,), (float(other),)
+        self._op = op
+        super().__init__(parent.domain)
+
+    def _combine(self, parent_values: list) -> np.ndarray:
+        return self._op(*parent_values, *self._constant)
+
+    def _batch_fn(self, X: np.ndarray) -> np.ndarray:
+        return self._combine([p._batch(X) for p in self._parents])
+
+    def _sweep(self) -> "_Sweep":
+        return _CombinedSweep(self)
+
+
+class _Sweep:
+    """Double greedy's rows of an oracle f, coordinate by coordinate.
+
+    At coordinate i, with the levels c_<i of the earlier coordinates chosen,
+    ``rows()`` returns f at the a-rows (c_<i, l, 0, ..., 0) for
+    l = 1..k_i - 1, then at the b-rows (c_<i, l, k_max_>i) for
+    l = 0..k_i - 2.  Every row counts as one call, on f and on every parent,
+    and a non-finite value is refused as by ``_batch``.  ``choose(l)`` sets
+    c_i = l and moves on to coordinate i + 1.
+
+    This form builds the rows and evaluates them as a batch.  An oracle with
+    a cheaper form returns a subclass from ``_sweep`` that carries what the
+    chosen levels contribute from one coordinate to the next.
+    """
+
+    def __init__(self, f: OracleFunction):
+        self.f = f
+        self.chosen = []
+        self.slices = f.domain._sweep_rows[0]
+
+    def rows(self) -> np.ndarray:
+        f = self.f
+        rows = self.slices[len(self.chosen)]
+        f._count(rows.stop - rows.start)
+        values = self._values(rows)
+        if not _finite(values):
+            f._refuse(values, self.points())
+        return values
+
+    def choose(self, level: int):
+        self.chosen.append(level)
+
+    def points(self) -> np.ndarray:
+        """The current coordinate's a-rows, then its b-rows, as points."""
+        d = self.f.domain
+        i = len(self.chosen)
+        rows = self.slices[i]
+        _, _, upper, levels = d._sweep_rows
+        points = np.zeros((rows.stop - rows.start, d.n), dtype=np.int64)
+        points[:, :i] = self.chosen
+        points[upper[rows], i + 1:] = d._k_max[i + 1:]
+        points[:, i] = levels[rows]
+        return points
+
+    def _values(self, rows: slice) -> np.ndarray:
+        return self.f._values(self.points())
+
+
+class _CombinedSweep(_Sweep):
+    def __init__(self, f: _Combined):
+        super().__init__(f)
+        self.parents = [p._sweep() for p in f._parents]
+
+    def choose(self, level: int):
+        for sweep in self.parents:
+            sweep.choose(level)
+        super().choose(level)
+
+    def _values(self, rows: slice) -> np.ndarray:
+        return self.f._combine([sweep.rows() for sweep in self.parents])
 
 
 class TableFunction(OracleFunction):
@@ -320,18 +442,12 @@ class SeparableFunction(OracleFunction):
     def _setup(self, domain: LatticeDomain, constant: float, increments: np.ndarray, name: str):
         self.constant = float(constant)
         self._increments = increments
-        # each coordinate's prefix sums in a row of the padded grid: the cumsum of
-        # each table, bit for bit; padding holds +inf, so it is never a minimum
-        grid = np.zeros(domain._padding.shape)
-        steps = np.zeros((domain.n, grid.shape[1] - 1))
-        steps.flat[domain._increment_slots] = increments
-        np.cumsum(steps, axis=1, out=grid[:, 1:])
-        # coordinate i's level v sits at offset _level_offsets[i] + v
-        self._flat_prefixes = grid.reshape(-1)[domain._level_slots]
+        self._flat_prefixes, grid = _prefix_sums(domain, increments)
+        # padding holds +inf, so it is never a minimum
         grid[domain._padding] = np.inf
         self._prefix_grid = grid
         self._tables = self._prefixes = None
-        super().__init__(domain, name=name, batch_fn=self.values_at)
+        super().__init__(domain, name=name)
 
     @property
     def tables(self):
@@ -375,6 +491,11 @@ class SeparableFunction(OracleFunction):
         terms = self._flat_prefixes[X + self.domain._level_offsets]
         return self.constant + np.cumsum(terms, axis=1)[:, -1]
 
+    _batch_fn = values_at  # a method, not a bound method on the instance: no reference cycle
+
+    def _sweep(self) -> _Sweep:
+        return _SeparableSweep(self)
+
     def values_over_domain(self) -> np.ndarray:
         """Dense row-major table of all values (vectorised; does not count calls)."""
         return self.values_at(self.domain.point_array())
@@ -415,6 +536,51 @@ class SeparableFunction(OracleFunction):
 
     def __repr__(self):
         return f"SeparableFunction(constant={self.constant}, domain={list(self.domain.sizes)})"
+
+
+def _prefix_sums(domain: LatticeDomain, increments: np.ndarray):
+    """Each coordinate's prefix sums of ``increments``, flat and in the padded grid.
+
+    Row i of the zero-padded (n, max k) grid holds the cumsum of coordinate
+    i's increments, bit for bit; in the flat array coordinate i's level v sits
+    at offset ``_level_offsets[i] + v``.
+    """
+    grid = np.zeros(domain._padding.shape)
+    steps = np.zeros((domain.n, grid.shape[1] - 1))
+    steps.flat[domain._increment_slots] = increments
+    np.cumsum(steps, axis=1, out=grid[:, 1:])
+    return grid.reshape(-1)[domain._level_slots], grid
+
+
+class _SeparableSweep(_Sweep):
+    """A separable function's rows, with the chosen levels' prefix sums added as they are chosen.
+
+    ``values_at`` adds a row's terms left to right.  After coordinate i an
+    a-row's terms are zeros, so constant + ((total + p_i(l)) + 0.0) is that
+    sum bit for bit; the running total starts at -0.0, which adds exactly.  A
+    b-row adds the suffix sum of the later coordinates' top prefixes instead,
+    which may round differently in the last bit.
+    """
+
+    def __init__(self, f: SeparableFunction):
+        super().__init__(f)
+        d = f.domain
+        tops = f._flat_prefixes[d._level_offsets + d._k_max]
+        later = np.full(d.n, -0.0)
+        later[:-1] = np.cumsum(tops[:0:-1])[::-1]
+        _, coords, upper, levels = d._sweep_rows
+        self.terms = (f._flat_prefixes[d._level_offsets[coords] + levels]
+                      + np.where(upper, later[coords], -0.0))
+        self.total = -0.0
+
+    def choose(self, level: int):
+        f = self.f
+        self.total += float(f._flat_prefixes[f.domain._level_offsets[len(self.chosen)] + level])
+        super().choose(level)
+
+    def _values(self, rows: slice) -> np.ndarray:
+        zeros_after = 0.0 if rows.stop < self.terms.size else -0.0  # none after the last coordinate
+        return self.f.constant + ((self.total + self.terms[rows]) + zeros_after)
 
 
 def constant_function(domain: LatticeDomain, c: float) -> SeparableFunction:

@@ -64,6 +64,7 @@ from .lattice import (
     OracleFunction,
     SeparableFunction,
     TableFunction,
+    _Sweep,
     check_submodular,
 )
 from .decompose import DsProblem, ds_construct, reference_quadratic, second_difference_extremes
@@ -191,23 +192,71 @@ def build_function(spec: dict, domain: LatticeDomain, slot: str, path: str) -> O
         curves = [np.asarray(c) * tradeoff for c in costs]
         return SeparableFunction.from_level_values(domain, curves)
 
-    # powers[i * width + level, j] = (1 - p_ij)^level: the chance that `level`
-    # units of sensor i all miss region j (levels at and above k_i are
-    # padding).  The kernel looks the powers up instead of calling pow, whose
-    # last bit can depend on the array layout, multiplies them in coordinate
-    # order and adds each point's regions with a row-wise sum (not a BLAS
-    # product, whose rounding depends on the batch shape), so a value does
-    # not depend on the batch it is evaluated in.
-    width = max(domain.sizes)
-    levels = np.arange(width, dtype=float)
-    powers = ((1.0 - probs)[:, None, :] ** levels[None, :, None]).reshape(domain.n * width, -1)
-    offsets = np.arange(domain.n) * width
+    return _Coverage(domain, probs, weights, name=f"{slot}:coverage")
 
-    def eval_coverage(X, powers=powers, weights=weights):
-        undetected = np.multiply.reduce(powers.take(X + offsets, axis=0), axis=1)
-        return ((1.0 - undetected) * weights).sum(axis=1)
 
-    return OracleFunction(domain, name=f"{slot}:coverage", batch_fn=eval_coverage)
+class _Coverage(OracleFunction):
+    """The coverage side sum_j w_j * (1 - prod_i (1 - p_ij)^{x_i}).
+
+    ``_powers[i * width + level, j]`` is (1 - p_ij)^level: the chance that
+    ``level`` units of sensor i all miss region j (levels at and above k_i
+    are padding).  The kernel looks the powers up instead of calling pow,
+    whose last bit can depend on the array layout, multiplies them in
+    coordinate order and adds each point's regions with a row-wise sum (not a
+    BLAS product, whose rounding depends on the batch shape), so a value does
+    not depend on the batch it is evaluated in.
+    """
+
+    def __init__(self, domain: LatticeDomain, probs: np.ndarray, weights: np.ndarray, name: str):
+        width = max(domain.sizes)
+        levels = np.arange(width, dtype=float)
+        self._powers = ((1.0 - probs)[:, None, :] ** levels[None, :, None]).reshape(
+            domain.n * width, -1)
+        self._weights = weights
+        self._offsets = np.arange(domain.n) * width
+        self._sweep_factors = None
+        super().__init__(domain, name=name)
+
+    def _batch_fn(self, X: np.ndarray) -> np.ndarray:
+        undetected = np.multiply.reduce(self._powers.take(X + self._offsets, axis=0), axis=1)
+        return ((1.0 - undetected) * self._weights).sum(axis=1)
+
+    def _sweep(self):
+        if self._sweep_factors is None:
+            # each sweep row's miss factors: (1 - p_i)^l for an a-row, times the
+            # product of the later coordinates' factors at their top levels for a
+            # b-row; a-rows' later factors are 1.0, which multiplies exactly
+            d = self.domain
+            tops = self._powers[self._offsets + d._k_max]
+            later = np.ones_like(tops)
+            later[:-1] = np.cumprod(tops[:0:-1], axis=0)[::-1]
+            _, coords, upper, levels = d._sweep_rows
+            rows = self._powers[self._offsets[coords] + levels]
+            self._sweep_factors = rows * np.where(upper[:, None], later[coords], 1.0)
+        return _CoverageSweep(self)
+
+
+class _CoverageSweep(_Sweep):
+    """Coverage rows from the running product of the chosen levels' miss factors.
+
+    The kernel multiplies a point's factors in coordinate order, and an
+    a-row's factors after coordinate i are 1.0, so missed * (1 - p_i)^l is
+    its product bit for bit.  A b-row's product takes the later coordinates'
+    top factors as one suffix product, which may round differently in the
+    last bit.
+    """
+
+    def __init__(self, f: _Coverage):
+        super().__init__(f)
+        self.missed = np.ones(f._powers.shape[1])
+
+    def choose(self, level: int):
+        f = self.f
+        self.missed = self.missed * f._powers[f._offsets[len(self.chosen)] + level]
+        super().choose(level)
+
+    def _values(self, rows: slice) -> np.ndarray:
+        return ((1.0 - self.missed * self.f._sweep_factors[rows]) * self.f._weights).sum(axis=1)
 
 
 def build_problem(spec: dict, validate: bool = True, cap=None):

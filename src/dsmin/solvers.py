@@ -87,49 +87,46 @@ def double_greedy_maximize(g: OracleFunction):
     farthest from b_i when lowering b.  Both points then agree on the
     coordinate.
 
-    Each point is evaluated once: g(a) and g(b) at the start, then one batch
-    of the 2(k_i - 1) level rows per coordinate.  The new a and b are rows of
-    that batch or unchanged, so their values are carried forward, and the
-    returned value is the carried g(a).  That is exactly
-    2 + 2 * sum_i (k_i - 1) oracle calls.  The points are built in the
-    domain, so they are not validated again.
+    Each point is evaluated once: g(a) and g(b) at the start, then the
+    2(k_i - 1) level rows of each coordinate, from g's sweep (see
+    ``lattice._Sweep``).  The new a and b are rows of the sweep or
+    unchanged, so their values are carried forward, and the returned value
+    is the carried g(a).  That is exactly 2 + 2 * sum_i (k_i - 1) oracle
+    calls.
+
+    An oracle with its own sweep form (coverage, separable functions and
+    their +, -, + c and c * composites) carries the chosen levels from one
+    coordinate to the next.  Its a-rows are the batch values bit for bit, and
+    so is the returned g(a).  Its b-rows take the later coordinates' top
+    levels as one suffix sum or product, so the b-side gains, compared within
+    this call and never returned, may differ from the batch ones in the last
+    bit: a choice could differ only between gains equal to within rounding.
 
     For nonnegative submodular g the returned value is at least 1/3 of the
     maximum; the factor is inherited from the classical double greedy and
     checked empirically by the test suite.
     """
     d = g.domain
-    a = np.zeros(d.n, dtype=np.int64)
-    b = d._k_max.copy()
-    ga, gb = g._batch(np.stack([a, b])).tolist()
-    for i in range(d.n):
-        # one batch per coordinate: a with coordinate i at every level in
-        # (a_i, b_i], then b with coordinate i at every level in [a_i, b_i)
-        ups = np.arange(a[i] + 1, b[i] + 1)
-        downs = ups - 1
-        r = ups.size
-        points = np.empty((2 * r, d.n), dtype=np.int64)
-        points[:r] = a
-        points[r:] = b
-        points[:r, i] = ups
-        points[r:, i] = downs
-        values = g._batch(points)
-        up_gains = values[:r] - ga
-        down_gains = values[r:] - gb
+    ga, gb = g._batch(np.stack([np.zeros(d.n, dtype=np.int64), d._k_max])).tolist()
+    sweep = g._sweep()
+    # at coordinate i, a_i = 0 and b_i = top: the a-rows raise a_i to 1..top,
+    # the b-rows lower b_i to 0..top - 1
+    for top in d.k_max:
+        values = sweep.rows()
+        up_gains = values[:top] - ga
+        down_gains = values[top:] - gb
         # the first best level on each side; a side whose best gain is not positive stays put
-        up, down = up_gains.argmax(), down_gains.argmax()
+        up, down = int(up_gains.argmax()), int(down_gains.argmax())
         if max(up_gains[up], 0.0) >= max(down_gains[down], 0.0):
-            chosen = ups[up] if up_gains[up] > 0 else a[i]
+            chosen = up + 1 if up_gains[up] > 0 else 0
         else:
-            chosen = downs[down]
-        # a with a_i = chosen is row chosen - a_i - 1, b with b_i = chosen is row r + chosen - a_i
-        if chosen != a[i]:
-            ga = float(values[chosen - a[i] - 1])
-        if chosen != b[i]:
-            gb = float(values[r + chosen - a[i]])
-        a[i] = chosen
-        b[i] = chosen
-    return tuple(a.tolist()), ga
+            chosen = down
+        if chosen != 0:
+            ga = float(values[chosen - 1])
+        if chosen != top:
+            gb = float(values[top + chosen])
+        sweep.choose(chosen)
+    return tuple(sweep.chosen), ga
 
 
 def brute_force_minimize(v: OracleFunction, cap=None):

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -263,3 +264,25 @@ class TestEpsilonAndPredictedBound:
             if pred is None or pred.small_m == 0.0:
                 continue
             assert report.accepted_steps <= pred.bound + 1
+
+
+def test_solves_leave_no_reference_cycles():
+    """Oracles, bounds and reports are freed by reference counting: solves leave
+    nothing for the cyclic GC, so memory does not grow between its collections."""
+    spec = d.generate_ensemble("coverage", {"count": 1, "sizes": [4, 3, 5], "regions": 4},
+                               seed=3)[0]
+
+    def solve_all():
+        problem, _ = d.build_problem(spec)
+        coeff = d.dr_violation(problem.f)
+        for algorithm in ("modmod", "supsub", "subsup"):
+            d.solve(problem, d.SolveOptions(algorithm=algorithm, dr_coeff=coeff))
+
+    solve_all()  # the first solve leaves one-off import garbage
+    gc.collect()
+    gc.disable()
+    try:
+        solve_all()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

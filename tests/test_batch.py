@@ -8,6 +8,7 @@ equal call counts.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -316,6 +317,79 @@ def test_double_greedy_matches_reference_and_call_count(sizes, seed):
     assert ref.call_count == sum(2 * k for k in sizes) + 1
 
 
+@settings(max_examples=30, deadline=None)
+@given(sizes=sizes_st, seed=st.integers(0, 10**6))
+def test_sweep_a_rows_equal_batch_bitwise_and_count_rows(sizes, seed):
+    """Every kind's sweep, along random chosen levels: its a-rows are the batch
+    values bit for bit, its b-rows agree up to rounding, and each row counts one
+    call on the oracle and on each parent."""
+    chosen = np.random.default_rng(seed + 2).integers(0, sizes).tolist()
+    top = [k - 1 for k in sizes]
+    for label, fn, parents in _kinds(sizes, seed):
+        sweep = fn._sweep()
+        for i, k in enumerate(sizes):
+            rest = len(sizes) - i - 1
+            points = sweep.points()
+            assert points.tolist() == (
+                [chosen[:i] + [level] + [0] * rest for level in range(1, k)]
+                + [chosen[:i] + [level] + top[i + 1:] for level in range(k - 1)]), label
+            before = [o.call_count for o in [fn] + parents]
+            values = sweep.rows()
+            after = [o.call_count for o in [fn] + parents]
+            assert [b - a for a, b in zip(before, after)] == [2 * (k - 1)] * len(after), label
+            expected = fn._batch(points)
+            assert values[:k - 1].tobytes() == expected[:k - 1].tobytes(), label
+            np.testing.assert_allclose(values[k - 1:], expected[k - 1:], rtol=1e-12, atol=1e-12)
+            sweep.choose(chosen[i])
+
+
+@pytest.mark.parametrize("sizes", [(3,), (3, 2), (2, 3, 2)])
+def test_sweep_keeps_the_sign_of_zero(sizes):
+    """-0.0 everywhere: the a-rows' sums keep the batch's signs of zero."""
+    fn = -1.0 * d.SeparableFunction.zero(d.LatticeDomain(sizes))
+    sweep = fn._sweep()
+    for k in sizes:
+        values = sweep.rows()
+        assert values[:k - 1].tobytes() == fn._batch(sweep.points())[:k - 1].tobytes()
+        sweep.choose(0)
+
+
+def test_sweep_refuses_non_finite_values():
+    dom = d.LatticeDomain([3, 2])
+    table = d.TableFunction(dom, [0.0, 0.0, np.inf, 0.0, 0.0, 0.0])  # inf at (1, 0)
+    separable = d.SeparableFunction(dom, np.inf, [[0.0, 0.0], [0.0]])
+    for fn, parent in ((table + 1.0, table), (separable - table, separable)):
+        with pytest.raises(ValueError, match=re.escape(f"{parent!r} returned inf at point (1, 0)")):
+            fn._sweep().rows()
+    assert table.call_count == 4 and separable.call_count == 4
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_double_greedy_zero_gain_coordinate_matches_reference(seed):
+    """A coverage coordinate whose probabilities are all 0, minus a separable
+    function flat there: every level of it ties exactly, on both sides."""
+    sizes = (4, 3, 5, 3)
+    zero = seed % len(sizes)
+    spec = d.generate_ensemble("coverage", {"count": 1, "sizes": sizes, "regions": 5},
+                               seed=seed)[0]
+    spec["g"]["probs"][zero] = [0.0] * 5
+    problem, _ = d.build_problem(spec, validate=False)
+    rng = np.random.default_rng(seed)
+    tables = [rng.uniform(0, 0.6, size=k - 1) for k in sizes]
+    tables[zero][:] = 0.0
+    g = problem.g - d.SeparableFunction(problem.domain, 0.0, tables)
+    point, value = d.double_greedy_maximize(g)
+    assert bits((point, value)) == bits(_ref_double_greedy(_counted(g)))
+    sweep = g._sweep()
+    for level in point[:zero]:
+        sweep.choose(level)
+    values = sweep.rows()
+    r = sizes[zero] - 1
+    a = point[:zero] + (0,) * (len(sizes) - zero)
+    assert set(values[:r].tolist()) == {g(a)}  # every raise of a gains exactly 0
+    assert len(set(values[r:].tolist())) == 1  # every lowering of b gains the same
+
+
 @settings(max_examples=60, deadline=None)
 @given(sizes=sizes_st, seed=st.integers(0, 10**6), top=st.integers(0, 2))
 def test_double_greedy_integer_ties_match_reference(sizes, seed, top):
@@ -441,6 +515,26 @@ def test_loop_certificate_evaluates_only_the_neighbours(seed, budget):
     public = d.certify_local_minimum(problem, report.final_point, budget=budget)
     assert bits((public.value, public.neighbors, public.best_descending)) == \
         bits((cert.value, cert.neighbors, cert.best_descending))
+
+
+@pytest.mark.parametrize("algorithm", ["modmod", "supsub"])
+@pytest.mark.parametrize("seed", [0, 1, 7, 10])  # seeds whose solves make such moves
+def test_descending_neighbour_reuses_the_certificate_values(seed, algorithm):
+    """An accepted descending neighbour is recorded from the values its failed
+    certificate evaluated.  With a separable f only events and certificates call
+    f, so between the event before it and it f is called once per neighbour."""
+    problem = _coverage_g((3, 4, 2, 3), seed)
+    coeff = d.dr_violation(problem.f)
+    report = d.solve(problem, d.SolveOptions(algorithm=algorithm, dr_coeff=coeff))
+    moves = [k for k, e in enumerate(report.events) if e.label == "descending_neighbor"]
+    assert moves
+    for k in moves:
+        x = [e for e in report.events[:k] if e.accepted][-1].point
+        neighbours = sum((c < top) + (c > 0) for c, top in zip(x, problem.domain.k_max))
+        event = report.events[k]
+        assert event.calls_f - report.events[k - 1].calls_f == neighbours
+        assert bits((event.f_val, event.g_val)) == bits((problem.f(event.point),
+                                                         problem.g(event.point)))
 
 
 def test_chain_validates_increments_without_points():
