@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeDomain, OracleFunction, SeparableFunction, _Tabulation, _prefix_sums
+from .lattice import LatticeDomain, OracleFunction, SeparableFunction, _Tabulation
 
 UB_VARIANTS = ("grow1", "grow2", "tight1", "tight2")
 
@@ -188,15 +188,14 @@ def separable_upper_bound(f: OracleFunction, coeff: float, x,
         split = dr_split(f, coeff)
         return split.quad + dr_upper_bound(split.residual, x, variant)
     d = f.domain
-    quad = _quadratic_increments(d, float(coeff))
+    quad = SeparableFunction._of_increments(d, 0.0, _quadratic_increments(d, float(coeff)))
     if variant not in UB_VARIANTS:
         raise ValueError(f"variant must be one of {UB_VARIANTS}, got {variant!r}")
     anchor = d.require_batch([x])[0]
     if variant in ("tight1", "tight2"):
         return SeparableFunction._of_increments(d, f.constant, f._increments)
     # h_i(l) at offset _level_offsets[i] + l, for every coordinate and level
-    quad_prefixes, _ = _prefix_sums(d, quad)
-    h = f._flat_prefixes - quad_prefixes
+    h = f._flat_prefixes - quad._flat_prefixes
     coord, level = d._level_coords, d._levels
     at = anchor[coord]
     below = level < at
@@ -207,12 +206,5 @@ def separable_upper_bound(f: OracleFunction, coeff: float, x,
         first, second = np.where(below, top - at + level, level), np.where(below, top, at)
     start = d._level_offsets[coord]
     phi = h[start + first] - h[start + second]
-    # the sums of SeparableFunction.value, and the constant and increments of
-    # quad + SeparableFunction._of_levels(d, phi, hx), in the same order: one
-    # SeparableFunction, the same bit for bit
-    levels = d._level_offsets + anchor
-    hx = ((f.constant + sum(f._flat_prefixes[levels].tolist()))
-          - (0.0 + sum(quad_prefixes[levels].tolist())))
-    base = sum(phi[d._level_offsets].tolist())
-    return SeparableFunction._of_increments(
-        d, 0.0 + (hx + base), quad + (phi[d._rises] - phi[d._rises - 1]))
+    hx = f._value_at(anchor) - quad._value_at(anchor)
+    return quad + SeparableFunction._of_levels(d, phi, hx)

@@ -324,6 +324,26 @@ class _Combined(OracleFunction):
         return _CombinedSweep(self)
 
 
+def _sweep_terms(d: LatticeDomain, per_level: np.ndarray, op: np.ufunc, identity: float):
+    """Each sweep row's own term, for a sweep that carries the chosen levels' terms.
+
+    ``per_level[_level_offsets[i] + l]`` is coordinate i's term at level l
+    (trailing axes, if any, broadcast along).  A row of coordinate i takes
+    its level's term; a b-row combines it by ``op`` with the later
+    coordinates' top terms, folded by ``op`` from the last coordinate back
+    (``identity`` when there are none), so it may round differently in the
+    last bit from a fold in coordinate order.  An a-row's later terms are the
+    identity, which ``op`` applies exactly.
+    """
+    tops = per_level[d._level_offsets + d._k_max]
+    later = np.full_like(tops, identity)
+    later[:-1] = op.accumulate(tops[:0:-1], axis=0)[::-1]
+    _, coords, upper, levels = d._sweep_rows
+    upper = upper.reshape((-1,) + (1,) * (tops.ndim - 1))
+    return op(per_level[d._level_offsets[coords] + levels],
+              np.where(upper, later[coords], identity))
+
+
 class _Sweep:
     """Double greedy's rows of an oracle f, coordinate by coordinate.
 
@@ -482,8 +502,11 @@ class SeparableFunction(OracleFunction):
 
     def value(self, x) -> float:
         """Evaluate without touching the oracle counter."""
-        levels = self.domain._level_offsets + self.domain.require_batch([x])[0]
-        return self.constant + sum(self._flat_prefixes[levels].tolist())
+        return self._value_at(self.domain.require_batch([x])[0])
+
+    def _value_at(self, x: np.ndarray) -> float:
+        """``value`` at a point already validated against this domain."""
+        return self.constant + sum(self._flat_prefixes[self.domain._level_offsets + x].tolist())
 
     def values_at(self, X: np.ndarray) -> np.ndarray:
         """``value`` at each row of an (m, n) int array, summed in the same order."""
@@ -564,13 +587,7 @@ class _SeparableSweep(_Sweep):
 
     def __init__(self, f: SeparableFunction):
         super().__init__(f)
-        d = f.domain
-        tops = f._flat_prefixes[d._level_offsets + d._k_max]
-        later = np.full(d.n, -0.0)
-        later[:-1] = np.cumsum(tops[:0:-1])[::-1]
-        _, coords, upper, levels = d._sweep_rows
-        self.terms = (f._flat_prefixes[d._level_offsets[coords] + levels]
-                      + np.where(upper, later[coords], -0.0))
+        self.terms = _sweep_terms(f.domain, f._flat_prefixes, np.add, -0.0)
         self.total = -0.0
 
     def choose(self, level: int):

@@ -65,6 +65,7 @@ from .lattice import (
     SeparableFunction,
     TableFunction,
     _Sweep,
+    _sweep_terms,
     check_submodular,
 )
 from .decompose import DsProblem, ds_construct, reference_quadratic, second_difference_extremes
@@ -223,16 +224,10 @@ class _Coverage(OracleFunction):
 
     def _sweep(self):
         if self._sweep_factors is None:
-            # each sweep row's miss factors: (1 - p_i)^l for an a-row, times the
-            # product of the later coordinates' factors at their top levels for a
-            # b-row; a-rows' later factors are 1.0, which multiplies exactly
-            d = self.domain
-            tops = self._powers[self._offsets + d._k_max]
-            later = np.ones_like(tops)
-            later[:-1] = np.cumprod(tops[:0:-1], axis=0)[::-1]
-            _, coords, upper, levels = d._sweep_rows
-            rows = self._powers[self._offsets[coords] + levels]
-            self._sweep_factors = rows * np.where(upper[:, None], later[coords], 1.0)
+            # each sweep row's miss factors: (1 - p_i)^l, times the later
+            # coordinates' top factors for a b-row
+            self._sweep_factors = _sweep_terms(
+                self.domain, self._powers[self.domain._level_slots], np.multiply, 1.0)
         return _CoverageSweep(self)
 
 

@@ -390,6 +390,40 @@ def test_double_greedy_zero_gain_coordinate_matches_reference(seed):
     assert len(set(values[r:].tolist())) == 1  # every lowering of b gains the same
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_double_greedy_zero_gains_above_level_zero_match_reference(seed):
+    """A coverage coordinate whose probabilities are all 0, minus the curve
+    0, 0.3, 0, 0.2, 0 there: raising a gains exactly 0 at levels 2 and 4,
+    lowering b exactly 0 at levels 0 and 2 in the batch form.  The sweep's
+    b-rows may differ from the carried g(b) in the last bits (seed 0 lowers
+    by -8.9e-16, seed 8 gains a positive rounding error), but the b-rows at
+    the curve's equal levels are equal bit for bit, so the first best
+    lowering is level 0: double greedy keeps a_i = 0 either way, as the
+    reference does."""
+    sizes = [3, 4, 3, 4]
+    zero = seed % len(sizes)
+    sizes[zero] = 5
+    spec = d.generate_ensemble("coverage", {"count": 1, "sizes": sizes, "regions": 5},
+                               seed=seed)[0]
+    spec["g"]["probs"][zero] = [0.0] * 5
+    problem, _ = d.build_problem(spec, validate=False)
+    rng = np.random.default_rng(seed)
+    tables = [rng.uniform(0, 0.6, size=k - 1) for k in sizes]
+    tables[zero] = np.array([0.3, -0.3, 0.2, -0.2])
+    g = problem.g - d.SeparableFunction(problem.domain, 0.0, tables)
+    point, value = d.double_greedy_maximize(g)
+    assert bits((point, value)) == bits(_ref_double_greedy(_counted(g)))
+    assert point[zero] == 0
+    sweep = g._sweep()
+    for level in point[:zero]:
+        sweep.choose(level)
+    values = sweep.rows()
+    ga = g(point[:zero] + (0,) * (len(sizes) - zero))
+    assert values[1] == values[3] == ga  # a raised to levels 2 and 4
+    assert values[4:].tolist() == [values[4], values[5], values[4], values[7]]
+    assert values[4] > values[5] and values[4] > values[7]
+
+
 @settings(max_examples=60, deadline=None)
 @given(sizes=sizes_st, seed=st.integers(0, 10**6), top=st.integers(0, 2))
 def test_double_greedy_integer_ties_match_reference(sizes, seed, top):

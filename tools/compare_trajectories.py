@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
 """Compare the solver trajectories of two dsmin source trees.
 
-    python3 tools/compare_trajectories.py OLD_TREE NEW_TREE [--seeds 1 2 3]
-        [--workloads dense_8k wide_n40 subgrad_sfm] [--out FILE]
+    python3 tools/compare_trajectories.py OLD_TREE NEW_TREE > comparison.json
 
 Each tree is run in its own process (``--record TREE``), which imports dsmin
 from ``TREE/src`` and the benchmark's workloads from ``TREE/benchmarks``.  It
-builds every problem of the given seeds and workloads from its spec and runs
-the workload's listed solves in order, as ``benchmarks/run.py`` does, and
-records every event.
+builds every problem of seeds 1-3 of the three benchmark workloads from its
+spec and runs the workload's listed solves in order, as ``benchmarks/run.py``
+does, and records every event.  The comparison is printed as JSON.
 
 Two trajectories are identical when their statuses, accepted points, every
 event's point, label, acceptance and the bits of v, f, g and surrogate, the
@@ -28,6 +27,7 @@ from collections import defaultdict
 from pathlib import Path
 
 WORKLOADS = ("dense_8k", "wide_n40", "subgrad_sfm")
+SEEDS = (1, 2, 3)
 COUNTERS = ("calls_f", "calls_g")
 
 
@@ -40,7 +40,7 @@ def _bits(value):
     return value
 
 
-def record(tree: Path, workloads: list, seeds: list) -> list:
+def record(tree: Path) -> list:
     """Every solve of the workloads' instances, one dict per solve."""
     sys.path[:0] = [str(tree / "src"), str(tree / "benchmarks")]
     from dsmin import algorithms, problems
@@ -48,8 +48,8 @@ def record(tree: Path, workloads: list, seeds: list) -> list:
 
     warnings.filterwarnings("ignore", message="domain too large to verify")
     solves = []
-    for name in workloads:
-        for seed in seeds:
+    for name in WORKLOADS:
+        for seed in SEEDS:
             for inst in bench.WORKLOADS[name](seed, False):
                 problem, _ = problems.build_problem(inst.spec)
                 for solve in inst.solves:
@@ -117,26 +117,20 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("trees", nargs="*", type=Path, help="OLD_TREE NEW_TREE")
     ap.add_argument("--record", type=Path, help="record one tree's solves as JSON on stdout")
-    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    ap.add_argument("--workloads", nargs="+", default=list(WORKLOADS), choices=WORKLOADS)
-    ap.add_argument("--out", type=Path, help="also write the comparison to this JSON file")
     args = ap.parse_args(argv)
 
     if args.record is not None:
-        json.dump(record(args.record.resolve(), args.workloads, args.seeds), sys.stdout)
+        json.dump(record(args.record.resolve()), sys.stdout)
         return 0
     if len(args.trees) != 2:
         ap.error("give OLD_TREE and NEW_TREE")
     runs = []
     for tree in args.trees:
-        cmd = [sys.executable, str(Path(__file__).resolve()), "--record", str(tree.resolve()),
-               "--seeds", *map(str, args.seeds), "--workloads", *args.workloads]
+        cmd = [sys.executable, str(Path(__file__).resolve()), "--record", str(tree.resolve())]
         runs.append(json.loads(subprocess.run(cmd, check=True, capture_output=True,
                                               text=True).stdout))
-    result = {"seeds": args.seeds, "workloads": args.workloads, **compare(*runs)}
+    result = {"seeds": list(SEEDS), "workloads": list(WORKLOADS), **compare(*runs)}
     print(json.dumps(result, indent=2))
-    if args.out is not None:
-        args.out.write_text(json.dumps(result, indent=2) + "\n")
     return 1 if result["differing_solves"] else 0
 
 
