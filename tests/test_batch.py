@@ -364,43 +364,19 @@ def test_sweep_refuses_non_finite_values():
     assert table.call_count == 4 and separable.call_count == 4
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_double_greedy_zero_gain_coordinate_matches_reference(seed):
-    """A coverage coordinate whose probabilities are all 0, minus a separable
-    function flat there: every level of it ties exactly, on both sides."""
-    sizes = (4, 3, 5, 3)
-    zero = seed % len(sizes)
-    spec = d.generate_ensemble("coverage", {"count": 1, "sizes": sizes, "regions": 5},
-                               seed=seed)[0]
-    spec["g"]["probs"][zero] = [0.0] * 5
-    problem, _ = d.build_problem(spec, validate=False)
-    rng = np.random.default_rng(seed)
-    tables = [rng.uniform(0, 0.6, size=k - 1) for k in sizes]
-    tables[zero][:] = 0.0
-    g = problem.g - d.SeparableFunction(problem.domain, 0.0, tables)
-    point, value = d.double_greedy_maximize(g)
-    assert bits((point, value)) == bits(_ref_double_greedy(_counted(g)))
-    sweep = g._sweep()
-    for level in point[:zero]:
-        sweep.choose(level)
-    values = sweep.rows()
-    r = sizes[zero] - 1
-    a = point[:zero] + (0,) * (len(sizes) - zero)
-    assert set(values[:r].tolist()) == {g(a)}  # every raise of a gains exactly 0
-    assert len(set(values[r:].tolist())) == 1  # every lowering of b gains the same
-
-
 @pytest.mark.parametrize("seed", range(10))
-def test_double_greedy_zero_gains_above_level_zero_match_reference(seed):
-    """A coverage coordinate whose probabilities are all 0, minus the curve
-    0, 0.3, 0, 0.2, 0 there: raising a gains exactly 0 at levels 2 and 4,
-    lowering b exactly 0 at levels 0 and 2 in the batch form.  The sweep's
-    b-rows may differ from the carried g(b) in the last bits (seed 0 lowers
-    by -8.9e-16, seed 8 gains a positive rounding error), but the b-rows at
-    the curve's equal levels are equal bit for bit, so the first best
-    lowering is level 0: double greedy keeps a_i = 0 either way, as the
-    reference does."""
-    sizes = [3, 4, 3, 4]
+@pytest.mark.parametrize("curve", [(0.0, 0.0, 0.0, 0.0), (0.3, -0.3, 0.2, -0.2)])
+def test_double_greedy_zero_gain_coordinate_matches_reference(seed, curve):
+    """A coverage coordinate whose probabilities are all 0, minus a separable
+    function with the increments ``curve`` there.  Flat, every level ties
+    exactly on both sides; with the levels 0, 0.3, 0, 0.2, 0, raising a gains
+    exactly 0 at levels 2 and 4 and lowering b exactly 0 at levels 0 and 2 in
+    the batch form.  The sweep's b-rows may differ from the carried g(b) in
+    the last bits (seed 0 lowers by -8.9e-16, seed 8 gains a positive
+    rounding error), but they are equal bit for bit where the levels are, so
+    the first best lowering is level 0: double greedy keeps a_i = 0 either
+    way, as the reference does."""
+    sizes = [4, 3, 4, 3]
     zero = seed % len(sizes)
     sizes[zero] = 5
     spec = d.generate_ensemble("coverage", {"count": 1, "sizes": sizes, "regions": 5},
@@ -409,7 +385,7 @@ def test_double_greedy_zero_gains_above_level_zero_match_reference(seed):
     problem, _ = d.build_problem(spec, validate=False)
     rng = np.random.default_rng(seed)
     tables = [rng.uniform(0, 0.6, size=k - 1) for k in sizes]
-    tables[zero] = np.array([0.3, -0.3, 0.2, -0.2])
+    tables[zero] = np.array(curve)
     g = problem.g - d.SeparableFunction(problem.domain, 0.0, tables)
     point, value = d.double_greedy_maximize(g)
     assert bits((point, value)) == bits(_ref_double_greedy(_counted(g)))
@@ -418,10 +394,11 @@ def test_double_greedy_zero_gains_above_level_zero_match_reference(seed):
     for level in point[:zero]:
         sweep.choose(level)
     values = sweep.rows()
+    levels = np.concatenate(([0.0], np.cumsum(curve)))
+    ups, downs = values[:4], values[4:]
     ga = g(point[:zero] + (0,) * (len(sizes) - zero))
-    assert values[1] == values[3] == ga  # a raised to levels 2 and 4
-    assert values[4:].tolist() == [values[4], values[5], values[4], values[7]]
-    assert values[4] > values[5] and values[4] > values[7]
+    assert (ups == ga).tolist() == (levels[1:] == 0.0).tolist()
+    assert (downs[:, None] == downs).tolist() == (levels[:4, None] == levels[:4]).tolist()
 
 
 @settings(max_examples=60, deadline=None)
