@@ -35,7 +35,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .lattice import CapExceededError, LatticeDomain, OracleFunction
-from .extension import Chain, adjacent_chain_family, chain_containing, chain_lower_bound
+from .extension import Chain, _chain_containing, adjacent_chain_family, chain_lower_bound
 from .bounds import dr_violation, separable_upper_bound
 from .decompose import DsProblem, monotone_form
 from .solvers import (
@@ -301,7 +301,7 @@ def subsup(p: DsProblem, opts: Optional[SolveOptions] = None) -> SolveReport:
         raise ValueError(f"options specify {opts.algorithm!r}")
 
     def propose(x, rng):
-        chain = chain_containing(p.domain, x, mode=opts.chain_mode, rng=rng)
+        chain = _chain_containing(p.domain, x, opts.chain_mode, rng=rng)
         h_g = chain_lower_bound(p.g, x, chain)
         inner = p.f - h_g
         res = minimize_submodular(inner, method=opts.sfm_method,
@@ -336,7 +336,7 @@ def modmod(p: DsProblem, opts: Optional[SolveOptions] = None) -> SolveReport:
     coeff = _resolve_dr_coeff(p.f, opts)
 
     def propose(x, rng):
-        chain = chain_containing(p.domain, x, mode=opts.chain_mode, rng=rng)
+        chain = _chain_containing(p.domain, x, opts.chain_mode, rng=rng)
         h_g = chain_lower_bound(p.g, x, chain)
         for variant in _variants(opts.ub_policy):
             surrogate = separable_upper_bound(p.f, coeff, x, variant) - h_g

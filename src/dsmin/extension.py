@@ -23,6 +23,7 @@ every chain point and, when f is submodular, lower-bounds f everywhere.
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import List, Optional
 
@@ -188,20 +189,34 @@ class Chain:
     """Maximal increasing lattice path defined by its increment coordinates."""
 
     def __init__(self, domain: LatticeDomain, increments):
-        self.domain = domain
         incs = np.asarray(increments, dtype=np.int64).reshape(-1)
         if incs.size and (incs.min() < 0 or incs.max() >= domain.n):
             raise ValueError(f"increment coordinates must lie in [0, {domain.n})")
-        self.increments = tuple(incs.tolist())
-        self._incs = incs
         counts = np.bincount(incs, minlength=domain.n)
-        for i, k in enumerate(domain.sizes):
-            if counts[i] != k - 1:
-                raise ValueError(
-                    f"coordinate {i} incremented {counts[i]} times, needs {k - 1}"
-                )
+        wrong = np.flatnonzero(counts != domain._k_max)
+        if wrong.size:
+            i = int(wrong[0])
+            raise ValueError(
+                f"coordinate {i} incremented {counts[i]} times, needs {domain.k_max[i]}")
+        self._setup(domain, incs)
+
+    @classmethod
+    def _of_increments(cls, domain: LatticeDomain, incs: np.ndarray):
+        """From an int64 array of increments that is known to make a chain, unchecked."""
+        chain = cls.__new__(cls)
+        chain._setup(domain, incs)
+        return chain
+
+    def _setup(self, domain: LatticeDomain, incs: np.ndarray):
+        self.domain = domain
+        self._incs = incs
         self._point_array = None
         self._points = None
+
+    @functools.cached_property
+    def increments(self) -> tuple:
+        """The coordinate raised at each step, as a tuple of ints (computed once)."""
+        return tuple(self._incs.tolist())
 
     def point_array(self) -> np.ndarray:
         """The r + 1 chain points as rows of an int64 array (computed once)."""
@@ -218,13 +233,16 @@ class Chain:
 
     @property
     def length(self) -> int:
-        return len(self.increments)
+        return self._incs.size
 
     def index_of(self, y) -> int:
         return int(sum(y))
 
     def contains(self, y) -> bool:
-        y = self.domain.require(y)
+        return self._contains(self.domain.require(y))
+
+    def _contains(self, y: tuple) -> bool:
+        """``contains`` for a domain point y given as a tuple of ints."""
         return tuple(self.point_array()[self.index_of(y)].tolist()) == y
 
     def __repr__(self):
@@ -239,17 +257,28 @@ def chain_containing(domain: LatticeDomain, y, mode: str = "canonical",
     coordinate 0 up to its top level, then 1, ...  randomized: the before-y
     and after-y increment blocks are each shuffled uniformly (seeded).
     """
-    y = domain.require(y)
-    before = [i for i in range(domain.n) for _ in range(y[i])]
-    after = [i for i in range(domain.n) for _ in range(domain.sizes[i] - 1 - y[i])]
+    return _chain_containing(domain, domain.require(y), mode, seed, rng)
+
+
+def _chain_containing(domain: LatticeDomain, y: tuple, mode: str,
+                      seed: Optional[int] = None, rng: Optional[random.Random] = None) -> Chain:
+    """``chain_containing`` for a domain point y given as a tuple of ints.
+
+    The chain is built through y, so its increments are not checked again.
+    """
+    coords = np.arange(domain.n)
+    before, after = np.repeat(coords, y), np.repeat(coords, domain._k_max - y)
     if mode == "randomized":
         if rng is None:
             rng = random.Random(seed)
+        before, after = before.tolist(), after.tolist()
         rng.shuffle(before)
         rng.shuffle(after)
     elif mode != "canonical":
         raise ValueError(f"unknown chain mode {mode!r}")
-    return Chain(domain, before + after)
+    # an empty list concatenates as float
+    incs = np.concatenate((before, after)).astype(np.int64, copy=False)
+    return Chain._of_increments(domain, incs)
 
 
 def chain_lower_bound(f: OracleFunction, y, chain: Chain) -> SeparableFunction:
@@ -263,7 +292,7 @@ def chain_lower_bound(f: OracleFunction, y, chain: Chain) -> SeparableFunction:
     y = d.require(y)
     if chain.domain != d:
         raise ValueError("chain domain does not match the function domain")
-    if not chain.contains(y):
+    if not chain._contains(y):
         raise ValueError(f"chain does not contain {y}; the bound would not be tight there")
     values = f._batch(chain.point_array())
     return SeparableFunction._of_increments(d, float(values[0]),

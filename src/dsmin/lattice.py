@@ -365,12 +365,20 @@ class _Sweep:
         self.slices = f.domain._sweep_rows[0]
 
     def rows(self) -> np.ndarray:
-        f = self.f
-        rows = self.slices[len(self.chosen)]
-        f._count(rows.stop - rows.start)
-        values = self._values(rows)
+        return self._raw(self.slices[len(self.chosen)])
+
+    def _raw(self, rows: slice) -> np.ndarray:
+        """The values at ``rows``, counted on f and every node below it.
+
+        A leaf refuses its own non-finite values here, before any composite
+        above it combines them.
+        """
+        self.f._count(rows.stop - rows.start)
+        return self._checked(self._values(rows))
+
+    def _checked(self, values: np.ndarray) -> np.ndarray:
         if not _finite(values):
-            f._refuse(values, self.points())
+            self.f._refuse(values, self.points())
         return values
 
     def choose(self, level: int):
@@ -393,17 +401,29 @@ class _Sweep:
 
 
 class _CombinedSweep(_Sweep):
+    """A composite's rows, combined from its parents' raw sweep values.
+
+    Each node is counted just before its values are computed, parents in
+    order, and each leaf checks its own values, so a non-finite leaf is
+    refused, naming it, before any combine runs.  The composites between the
+    leaves and the top are not checked; the top checks what they combine to.
+    """
+
     def __init__(self, f: _Combined):
         super().__init__(f)
         self.parents = [p._sweep() for p in f._parents]
+
+    def rows(self) -> np.ndarray:
+        return self._checked(super().rows())
+
+    def _raw(self, rows: slice) -> np.ndarray:
+        self.f._count(rows.stop - rows.start)
+        return self.f._combine([sweep._raw(rows) for sweep in self.parents])
 
     def choose(self, level: int):
         for sweep in self.parents:
             sweep.choose(level)
         super().choose(level)
-
-    def _values(self, rows: slice) -> np.ndarray:
-        return self.f._combine([sweep.rows() for sweep in self.parents])
 
 
 class TableFunction(OracleFunction):

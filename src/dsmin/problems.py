@@ -202,10 +202,14 @@ class _Coverage(OracleFunction):
     ``_powers[i * width + level, j]`` is (1 - p_ij)^level: the chance that
     ``level`` units of sensor i all miss region j (levels at and above k_i
     are padding).  The kernel looks the powers up instead of calling pow,
-    whose last bit can depend on the array layout, multiplies them in
-    coordinate order and adds each point's regions with a row-wise sum (not a
-    BLAS product, whose rounding depends on the batch shape), so a value does
-    not depend on the batch it is evaluated in.
+    whose last bit can depend on the array layout.  It gathers them
+    coordinate-major, as an (n, m, regions) array, and folds the coordinates
+    left to right with ``np.multiply.reduce`` over the first axis: each step
+    multiplies whole (m, regions) slices, the same products in the same order
+    as a fold along each row, and multiply has no pairwise path.  It adds each
+    point's regions with a row-wise sum (not a BLAS product, whose rounding
+    depends on the batch shape), so a value does not depend on the batch it
+    is evaluated in.
     """
 
     def __init__(self, domain: LatticeDomain, probs: np.ndarray, weights: np.ndarray, name: str):
@@ -219,7 +223,7 @@ class _Coverage(OracleFunction):
         super().__init__(domain, name=name)
 
     def _batch_fn(self, X: np.ndarray) -> np.ndarray:
-        undetected = np.multiply.reduce(self._powers.take(X + self._offsets, axis=0), axis=1)
+        undetected = np.multiply.reduce(self._powers.take((X + self._offsets).T, axis=0), axis=0)
         return ((1.0 - undetected) * self._weights).sum(axis=1)
 
     def _sweep(self):
@@ -251,7 +255,8 @@ class _CoverageSweep(_Sweep):
         super().choose(level)
 
     def _values(self, rows: slice) -> np.ndarray:
-        return ((1.0 - self.missed * self.f._sweep_factors[rows]) * self.f._weights).sum(axis=1)
+        f = self.f
+        return np.add.reduce((1.0 - self.missed * f._sweep_factors[rows]) * f._weights, axis=1)
 
 
 def build_problem(spec: dict, validate: bool = True, cap=None):

@@ -29,7 +29,7 @@ def minimize_separable(s: SeparableFunction, domain: Optional[LatticeDomain] = N
     if d != s.domain:
         raise ValueError("domain does not match the separable function")
     point = s.argmin_tables()
-    return point, s.value(point)
+    return point, s._value_at(np.array(point))  # a domain point: not validated again
 
 
 def minimize_separable_cardinality(s: SeparableFunction, domain: Optional[LatticeDomain],
@@ -94,10 +94,13 @@ def double_greedy_maximize(g: OracleFunction):
     is the carried g(a).  That is exactly 2 + 2 * sum_i (k_i - 1) oracle
     calls.
 
+    Each coordinate's rows are compared as Python floats: the gains one by
+    one, and the first best level on each side by ``max`` and ``index``.
+
     An oracle with its own sweep form (coverage, separable functions and
-    their +, -, + c and c * composites) carries the chosen levels from one
-    coordinate to the next.  Its a-rows are the batch values bit for bit, and
-    so is the returned g(a).  Its b-rows take the later coordinates' top
+    their +, -, + c and c * composites, nested to any depth) carries the
+    chosen levels from one coordinate to the next.  Its a-rows are the batch
+    values bit for bit, and so is the returned g(a).  Its b-rows take the later coordinates' top
     levels as one suffix sum or product, so the b-side gains, compared within
     this call and never returned, may differ from the batch ones in the last
     bit: a choice could differ only between gains equal to within rounding.
@@ -112,19 +115,19 @@ def double_greedy_maximize(g: OracleFunction):
     # at coordinate i, a_i = 0 and b_i = top: the a-rows raise a_i to 1..top,
     # the b-rows lower b_i to 0..top - 1
     for top in d.k_max:
-        values = sweep.rows()
-        up_gains = values[:top] - ga
-        down_gains = values[top:] - gb
+        values = sweep.rows().tolist()
+        up_gains = [v - ga for v in values[:top]]
+        down_gains = [v - gb for v in values[top:]]
         # the first best level on each side; a side whose best gain is not positive stays put
-        up, down = int(up_gains.argmax()), int(down_gains.argmax())
-        if max(up_gains[up], 0.0) >= max(down_gains[down], 0.0):
-            chosen = up + 1 if up_gains[up] > 0 else 0
+        up_best, down_best = max(up_gains), max(down_gains)
+        if max(up_best, 0.0) >= max(down_best, 0.0):
+            chosen = up_gains.index(up_best) + 1 if up_best > 0 else 0
         else:
-            chosen = down
+            chosen = down_gains.index(down_best)
         if chosen != 0:
-            ga = float(values[chosen - 1])
+            ga = values[chosen - 1]
         if chosen != top:
-            gb = float(values[top + chosen])
+            gb = values[top + chosen]
         sweep.choose(chosen)
     return tuple(sweep.chosen), ga
 

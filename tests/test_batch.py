@@ -364,6 +364,67 @@ def test_sweep_refuses_non_finite_values():
     assert table.call_count == 4 and separable.call_count == 4
 
 
+def _nested(sizes, seed, inf_at=None):
+    """2.5 * (cov - sep) + 1.0 and its five nodes, top first; ``inf_at`` puts
+    +inf in that flat increment of sep."""
+    problem = _coverage_g(sizes, seed)
+    rng = np.random.default_rng(seed)
+    increments = rng.uniform(0, 0.6, size=sum(sizes) - len(sizes))
+    if inf_at is not None:
+        increments[inf_at] = np.inf
+    cov = problem.g
+    sep = d.SeparableFunction(problem.domain, 0.0, np.split(increments, np.cumsum(
+        [k - 1 for k in sizes])[:-1]))
+    diff = cov - sep
+    scaled = 2.5 * diff
+    top = scaled + 1.0
+    return top, [top, scaled, diff, cov, sep]
+
+
+@settings(max_examples=30, deadline=None)
+@given(sizes=sizes_st, seed=st.integers(0, 10**6))
+def test_nested_composite_sweep_counts_every_node_and_matches_batch(sizes, seed):
+    """A sweep through two composite layers: each of the five nodes counts
+    2(k_i - 1) calls per coordinate, the a-rows are the batch values bit for
+    bit, and double greedy makes 2 + 2 * sum(k_i - 1) calls on every node."""
+    top, nodes = _nested(sizes, seed)
+    chosen = np.random.default_rng(seed + 2).integers(0, sizes).tolist()
+    sweep = top._sweep()
+    for i, k in enumerate(sizes):
+        points = sweep.points()
+        before = [o.call_count for o in nodes]
+        values = sweep.rows()
+        assert [o.call_count - c for o, c in zip(nodes, before)] == [2 * (k - 1)] * 5
+        expected = top._batch(points)
+        assert values[:k - 1].tobytes() == expected[:k - 1].tobytes()
+        np.testing.assert_allclose(values[k - 1:], expected[k - 1:], rtol=1e-12, atol=1e-12)
+        sweep.choose(chosen[i])
+    top, nodes = _nested(sizes, seed)
+    ref = _counted(_nested(sizes, seed)[0])
+    assert bits(d.double_greedy_maximize(top)) == bits(_ref_double_greedy(ref))
+    assert [o.call_count for o in nodes] == [2 + sum(2 * (k - 1) for k in sizes)] * 5
+
+
+@pytest.mark.filterwarnings("error")
+def test_nested_composite_sweep_refuses_an_inner_inf_before_combining():
+    """+inf in the inner separable function is refused by that function's own
+    message, with every node counted once for the rows, and no inf - inf of
+    a combine runs first to raise a RuntimeWarning."""
+    sizes = [3, 4, 2]
+    for inf_at in (0, 3):  # coordinate 0 (an a-row at once), coordinate 1 (the b-rows)
+        top, nodes = _nested(sizes, 7, inf_at)
+        sep = nodes[-1]
+        point = "(1, 0, 0)" if inf_at == 0 else "(0, 3, 1)"
+        with pytest.raises(ValueError, match=re.escape(f"{sep!r} returned inf at point {point}")):
+            top._sweep().rows()
+        assert [o.call_count for o in nodes] == [4] * 5
+        # sep is the first parent of the outer difference: refused before cov is evaluated
+        outer = (sep - nodes[3]) - sep
+        with pytest.raises(ValueError, match=re.escape(f"{sep!r} returned inf")):
+            outer._sweep().rows()
+        assert nodes[3].call_count == 4
+
+
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("curve", [(0.0, 0.0, 0.0, 0.0), (0.3, -0.3, 0.2, -0.2)])
 def test_double_greedy_zero_gain_coordinate_matches_reference(seed, curve):

@@ -158,6 +158,40 @@ class TestChains:
         with pytest.raises(ValueError):
             d.Chain(dom, [0, 0, 0, 1])
 
+    @pytest.mark.parametrize("mode", ["canonical", "randomized"])
+    def test_increments_match_the_list_built_chain(self, mode):
+        """The array-built chain has the increments of the per-coordinate
+        lists it replaced, shuffled by the same random stream."""
+        rng = np.random.default_rng(5)
+        for seed in range(20):
+            sizes = rng.integers(2, 6, size=rng.integers(1, 7)).tolist()
+            dom = d.LatticeDomain(sizes)
+            y = tuple(rng.integers(0, sizes).tolist())
+            before = [i for i in range(dom.n) for _ in range(y[i])]
+            after = [i for i in range(dom.n) for _ in range(sizes[i] - 1 - y[i])]
+            if mode == "randomized":
+                stream = random.Random(seed)
+                stream.shuffle(before)
+                stream.shuffle(after)
+            chain = d.chain_containing(dom, y, mode=mode, rng=random.Random(seed))
+            assert chain.increments == tuple(before + after)
+            assert chain.length == len(before + after) and chain.contains(y)
+
+    def test_public_entries_still_refuse_bad_points(self):
+        dom = d.LatticeDomain([3, 3])
+        g = d.OracleFunction(dom, lambda x: float(x[0] * x[1]))
+        chain = d.chain_containing(dom, (1, 1))
+        for bad in [(3, 0), (True, 1), (1.5, 0), (1,)]:
+            with pytest.raises(d.DomainError):
+                d.chain_containing(dom, bad)
+            with pytest.raises(d.DomainError):
+                chain.contains(bad)
+            with pytest.raises(d.DomainError):
+                d.chain_lower_bound(g, bad, chain)
+        with pytest.raises(ValueError, match="unknown chain mode"):
+            d.chain_containing(dom, (1, 1), mode="sideways")
+        assert g.call_count == 0
+
 
 class TestChainLowerBound:
     def test_hand_example(self):

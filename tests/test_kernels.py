@@ -13,7 +13,9 @@ them; both are checked bit for bit against the per-table formulas and the
 triple-loop dynamic program they replaced.
 
 The coverage side's batch kernel gathers from a flat powers array; the
-two-index gather it replaced is kept as a reference, equal bit for bit.
+two-index gather it replaced, folded over coordinates in Python, is kept as a
+reference, equal bit for bit.  ``SeparableFunction.values_at`` of one row is
+checked against a left fold in the same way.
 """
 
 import math
@@ -206,13 +208,21 @@ def ref_minimize_separable_cardinality(s, domain, budget):
 
 
 def ref_coverage_kernel(probs, weights, sizes):
-    """The coverage side's batch kernel indexing an (n, max k, regions) powers array."""
+    """The coverage side's batch kernel indexing an (n, max k, regions) powers array.
+
+    The miss factors are multiplied by an explicit left fold over the
+    coordinates, one elementwise product per coordinate, so the reference
+    does not share numpy's reduction path with the kernel.
+    """
     levels = np.arange(max(sizes), dtype=float)
     powers = (1.0 - probs)[:, None, :] ** levels[None, :, None]
     coords = np.arange(len(sizes))
 
     def eval_coverage(X):
-        undetected = np.prod(powers[coords, X], axis=1)
+        factors = powers[coords, X]
+        undetected = factors[:, 0]
+        for i in range(1, len(sizes)):
+            undetected = undetected * factors[:, i]
         return ((1.0 - undetected) * weights).sum(axis=1)
 
     return eval_coverage
@@ -426,10 +436,14 @@ def test_cardinality_dp_matches_the_scalar_reference(sizes, seed, integer):
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=60, deadline=None)
-@given(sizes=st.lists(st.integers(2, 7), min_size=1, max_size=8), regions=st.integers(1, 9),
-       m=st.integers(1, 1100), seed=st.integers(0, 10**6))
+@given(sizes=st.lists(st.integers(2, 7), min_size=1, max_size=40), regions=st.integers(1, 9),
+       m=st.one_of(st.sampled_from([1, 2]), st.integers(1, 1100)), seed=st.integers(0, 10**6))
 def test_coverage_kernel_matches_the_indexed_reference(sizes, regions, m, seed):
-    """Unequal sizes leave padding levels; some rows sit at k_max in every coordinate."""
+    """Unequal sizes leave padding levels; some rows sit at k_max in every coordinate.
+
+    Up to 40 coordinates and batches of one or two rows as well as long ones:
+    the kernel's coordinate-major fold must be the left fold bit for bit.
+    """
     rng = np.random.default_rng(seed)
     dom = d.LatticeDomain(sizes)
     probs = rng.uniform(0.0, 1.0, size=(dom.n, regions))
@@ -444,3 +458,32 @@ def test_coverage_kernel_matches_the_indexed_reference(sizes, regions, m, seed):
     assert g.batch(X).tobytes() == expected.tobytes()
     # a row's value does not depend on the batch it is evaluated in
     assert g.batch(X[-1:]).tobytes() == expected[-1:].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 40])
+def test_separable_values_at_one_row_is_the_left_fold(n):
+    """``values_at`` of a single row adds its terms left to right, bit for bit.
+
+    A pairwise sum would not: ``np.add.reduce`` over the 40 terms of a
+    (40, 1) array splits them into blocks and differs from the left fold in
+    most of these cases, so the separable kernel must not be rewritten that
+    way (multiply, as in the coverage kernel, has no pairwise path).
+    """
+    rng = np.random.default_rng(n)
+    pairwise_differs = 0
+    for _ in range(200):
+        sizes = rng.integers(2, 7, size=n).tolist()
+        dom = d.LatticeDomain(sizes)
+        s = d.SeparableFunction(dom, float(rng.normal()), [rng.normal(size=k - 1) for k in sizes])
+        x = rng.integers(0, sizes)
+        terms = [float(s.prefixes[i][level]) for i, level in enumerate(x.tolist())]
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
+        got = s.values_at(x[None, :])
+        assert got.shape == (1,)
+        assert bits(float(got[0])) == bits(s.constant + total)
+        pairwise = np.add.reduce(np.array(terms)[:, None], axis=0)[0]
+        pairwise_differs += pairwise != total
+    if n == 40:
+        assert pairwise_differs > 100
