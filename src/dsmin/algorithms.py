@@ -16,6 +16,10 @@ guarded by comparing each candidate against the current iterate before
 acceptance.  Steps are accepted only if they improve v by at least
 epsilon * |v| (sign-safe form; plain strict descent when epsilon = 0).
 
+supsub and modmod solve a surrogate equal bit for bit to the one they solved
+last only once per solve: the stored point and value are proposed again, so
+only call counters and times differ from solving it afresh.
+
 When an iteration produces no accepted move, the current point is certified
 by checking all 2n unit neighbours (the condition the O(n) adjacent-chain
 families guarantee; the certificate builds that family when it is read).  A
@@ -34,7 +38,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .lattice import CapExceededError, LatticeDomain, OracleFunction
+from .lattice import CapExceededError, LatticeDomain, OracleFunction, SeparableFunction
 from .extension import Chain, _chain_containing, adjacent_chain_family, chain_lower_bound
 from .bounds import dr_violation, separable_upper_bound
 from .decompose import DsProblem, monotone_form
@@ -221,6 +225,26 @@ def _variants(policy: str):
     return ("grow1", "grow2") if policy == "try_both" else (policy,)
 
 
+def _solve_once(solver: Callable) -> Callable:
+    """``solver`` of a separable surrogate, reusing the last result for a repeated surrogate.
+
+    A surrogate equal bit for bit to the last one solved (the same constant
+    bits and the same increment bytes, so -0.0 and +0.0 differ) defines the
+    same inner problem: its stored result is returned, and ``solver`` is not
+    called.  The memo lives as long as the returned function, one solve.
+    """
+    last_key, last_result = None, None
+
+    def solve(s: SeparableFunction):
+        nonlocal last_key, last_result
+        key = (s.constant.hex(), s._increments.tobytes())
+        if key != last_key:
+            last_key, last_result = key, solver(s)
+        return last_result
+
+    return solve
+
+
 def _run_loop(p: DsProblem, opts: SolveOptions, propose: Callable) -> SolveReport:
     d = p.domain
     rng = random.Random(opts.seed)
@@ -312,38 +336,48 @@ def subsup(p: DsProblem, opts: Optional[SolveOptions] = None) -> SolveReport:
 
 
 def supsub(p: DsProblem, opts: Optional[SolveOptions] = None) -> SolveReport:
-    """MM with the separable upper bound on f; inner solves are double greedy."""
+    """MM with the separable upper bound on f; inner solves are double greedy.
+
+    The inner problem is max g - m_f over the bound m_f.  A bound equal bit
+    for bit to the last one solved is not solved again: its point and value
+    are proposed once more, without double greedy's calls of g.
+    """
     opts = opts or SolveOptions(algorithm="supsub")
     if opts.algorithm != "supsub":
         raise ValueError(f"options specify {opts.algorithm!r}")
     coeff = _resolve_dr_coeff(p.f, opts)
+    # g is fixed for the solve, so a repeated bound m_f repeats the inner problem
+    maximize = _solve_once(lambda m_f: double_greedy_maximize(p.g - m_f))
 
     def propose(x, rng):
         for variant in _variants(opts.ub_policy):
-            m_f = separable_upper_bound(p.f, coeff, x, variant)
-            inner = p.g - m_f
-            cand, val = double_greedy_maximize(inner)
+            cand, val = maximize(separable_upper_bound(p.f, coeff, x, variant))
             yield cand, -val, f"supsub:{variant}"
 
     return _run_loop(p, opts, propose)
 
 
 def modmod(p: DsProblem, opts: Optional[SolveOptions] = None) -> SolveReport:
-    """MM with both bounds; the separable surrogate is minimised exactly."""
+    """MM with both bounds; the separable surrogate is minimised exactly.
+
+    The surrogate is ub - h_g.  One equal bit for bit to the last one solved
+    is not minimised again: its point and value are proposed once more.
+    """
     opts = opts or SolveOptions(algorithm="modmod")
     if opts.algorithm != "modmod":
         raise ValueError(f"options specify {opts.algorithm!r}")
     coeff = _resolve_dr_coeff(p.f, opts)
+    if opts.budget is not None:
+        minimize = _solve_once(
+            lambda s: minimize_separable_cardinality(s, p.domain, opts.budget))
+    else:
+        minimize = _solve_once(minimize_separable)
 
     def propose(x, rng):
         chain = _chain_containing(p.domain, x, opts.chain_mode, rng=rng)
         h_g = chain_lower_bound(p.g, x, chain)
         for variant in _variants(opts.ub_policy):
-            surrogate = separable_upper_bound(p.f, coeff, x, variant) - h_g
-            if opts.budget is not None:
-                cand, val = minimize_separable_cardinality(surrogate, p.domain, opts.budget)
-            else:
-                cand, val = minimize_separable(surrogate)
+            cand, val = minimize(separable_upper_bound(p.f, coeff, x, variant) - h_g)
             yield cand, val, f"modmod:{variant}"
 
     return _run_loop(p, opts, propose)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
@@ -450,8 +451,10 @@ class SeparableFunction(OracleFunction):
 
     The increments and their prefix sums are kept as flat arrays in
     (coordinate, level) order, so arithmetic, evaluation and minimisation are
-    array operations; ``tables`` and ``prefixes`` split them per coordinate
-    on first access.
+    array operations.  The prefix sums are filled on first read, so a
+    function that is only combined into another never pays for them;
+    ``tables`` and ``prefixes`` split the flat arrays per coordinate on first
+    access.
     """
 
     def __init__(self, domain: LatticeDomain, constant: float, tables, name: str = ""):
@@ -482,26 +485,28 @@ class SeparableFunction(OracleFunction):
     def _setup(self, domain: LatticeDomain, constant: float, increments: np.ndarray, name: str):
         self.constant = float(constant)
         self._increments = increments
-        self._flat_prefixes, grid = _prefix_sums(domain, increments)
-        # padding holds +inf, so it is never a minimum
-        grid[domain._padding] = np.inf
-        self._prefix_grid = grid
-        self._tables = self._prefixes = None
         super().__init__(domain, name=name)
 
-    @property
+    # Filled on first read, after which each is a plain instance attribute.
+    @functools.cached_property
+    def _prefix_grid(self) -> np.ndarray:
+        """The prefix sums in the padded (n, max k) grid (see ``_prefix_sums``)."""
+        return _prefix_sums(self.domain, self._increments)
+
+    @functools.cached_property
+    def _flat_prefixes(self) -> np.ndarray:
+        """The prefix sums laid end to end: coordinate i's level v at ``_level_offsets[i] + v``."""
+        return self._prefix_grid.reshape(-1)[self.domain._level_slots]
+
+    @functools.cached_property
     def tables(self):
         """Per-coordinate increment arrays (views of the flat increments)."""
-        if self._tables is None:
-            self._tables = np.split(self._increments, self.domain._increment_offsets[1:])
-        return self._tables
+        return np.split(self._increments, self.domain._increment_offsets[1:])
 
-    @property
+    @functools.cached_property
     def prefixes(self):
         """prefixes[i][v] = sum of the first v increments of coordinate i."""
-        if self._prefixes is None:
-            self._prefixes = np.split(self._flat_prefixes, self.domain._level_offsets[1:])
-        return self._prefixes
+        return np.split(self._flat_prefixes, self.domain._level_offsets[1:])
 
     @classmethod
     def zero(cls, domain: LatticeDomain):
@@ -552,7 +557,7 @@ class SeparableFunction(OracleFunction):
             _same_domain(self, other)
             return SeparableFunction._of_increments(self.domain, self.constant + other.constant,
                                                     self._increments + other._increments)
-        if isinstance(other, (int, float)):
+        if isinstance(other, numbers.Real):
             return SeparableFunction._of_increments(self.domain, self.constant + float(other),
                                                     self._increments)
         return super().__add__(other)
@@ -562,7 +567,7 @@ class SeparableFunction(OracleFunction):
             _same_domain(self, other)
             return SeparableFunction._of_increments(self.domain, self.constant - other.constant,
                                                     self._increments - other._increments)
-        if isinstance(other, (int, float)):
+        if isinstance(other, numbers.Real):
             return SeparableFunction._of_increments(self.domain, self.constant - float(other),
                                                     self._increments)
         return super().__sub__(other)
@@ -582,17 +587,17 @@ class SeparableFunction(OracleFunction):
 
 
 def _prefix_sums(domain: LatticeDomain, increments: np.ndarray):
-    """Each coordinate's prefix sums of ``increments``, flat and in the padded grid.
+    """Each coordinate's prefix sums of ``increments``, in an (n, max k) grid.
 
-    Row i of the zero-padded (n, max k) grid holds the cumsum of coordinate
-    i's increments, bit for bit; in the flat array coordinate i's level v sits
-    at offset ``_level_offsets[i] + v``.
+    Row i holds 0 and then the cumsum of coordinate i's increments, bit for
+    bit, and +inf in the padding, so that is never a minimum.
     """
     grid = np.zeros(domain._padding.shape)
     steps = np.zeros((domain.n, grid.shape[1] - 1))
     steps.flat[domain._increment_slots] = increments
     np.cumsum(steps, axis=1, out=grid[:, 1:])
-    return grid.reshape(-1)[domain._level_slots], grid
+    grid[domain._padding] = np.inf
+    return grid
 
 
 class _SeparableSweep(_Sweep):

@@ -6,6 +6,7 @@ import pytest
 
 import dsmin as d
 from conftest import (
+    bits,
     coverage_function,
     ds_ensemble,
     quadratic_submodular,
@@ -286,3 +287,106 @@ def test_solves_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# A repeated surrogate is solved once
+# ---------------------------------------------------------------------------
+
+INNER_SOLVERS = ("double_greedy_maximize", "minimize_separable", "minimize_separable_cardinality")
+MEMO_CASES = [(algorithm, budget, policy)
+              for algorithm, budget in (("supsub", None), ("modmod", None), ("modmod", 3))
+              for policy in d.algorithms.UB_POLICIES]
+
+
+def _coverage_problems():
+    return [d.build_problem(spec, validate=False)[0]
+            for seed in range(3)
+            for spec in d.generate_ensemble("coverage", {"count": 2, "sizes": [4, 4, 4]},
+                                            seed=seed)]
+
+
+def _counted_solve(monkeypatch, p, opts, memo=True):
+    """The report, the inner solver runs and the (f, g) calls of one solve."""
+    runs = []
+    with monkeypatch.context() as m:
+        for name in INNER_SOLVERS:
+            def counted(*args, _real=getattr(d.algorithms, name)):
+                runs.append(args)
+                return _real(*args)
+            m.setattr(d.algorithms, name, counted)
+        if not memo:
+            m.setattr(d.algorithms, "_solve_once", lambda solver: solver)
+        f0, g0 = p.f.call_count, p.g.call_count
+        report = d.solve(p, opts)
+    return report, len(runs), (p.f.call_count - f0, p.g.call_count - g0)
+
+
+def _trajectory(report):
+    """Everything of a run but its counters and times; floats as bits."""
+    return (report.status, [it.point for it in report.iterates],
+            [(e.t, e.point, e.label, e.accepted, bits(e.v), bits(e.f_val), bits(e.g_val),
+              bits(e.surrogate)) for e in report.events],
+            report.certificate and bits(report.certificate.neighbors))
+
+
+class TestRepeatedSurrogates:
+    @pytest.mark.parametrize("algorithm,budget,policy", MEMO_CASES)
+    def test_only_counters_move(self, monkeypatch, algorithm, budget, policy):
+        """With the memo patched off, the same run; supsub's g counter drops by
+        exactly the skipped double greedy runs' 2 + 2 * sum(k_i - 1) calls."""
+        skipped_total = 0
+        for p in _coverage_problems():
+            opts = d.SolveOptions(algorithm=algorithm, budget=budget, ub_policy=policy)
+            on, runs_on, calls_on = _counted_solve(monkeypatch, p, opts)
+            off, runs_off, calls_off = _counted_solve(monkeypatch, p, opts, memo=False)
+            assert _trajectory(on) == _trajectory(off)
+            per_run = 2 + 2 * sum(k - 1 for k in p.domain.sizes) if algorithm == "supsub" else 0
+            skipped = runs_off - runs_on
+            assert skipped >= 0
+            assert calls_off == (calls_on[0], calls_on[1] + per_run * skipped)
+            assert [e.calls_f for e in on.events] == [e.calls_f for e in off.events]
+            saved = [b.calls_g - a.calls_g for a, b in zip(on.events, off.events)]
+            assert saved == sorted(saved)
+            assert all(s % per_run == 0 for s in saved) if per_run else not any(saved)
+            skipped_total += skipped
+        assert skipped_total > 0  # the ensemble does repeat surrogates
+
+    def test_double_greedy_runs_once_at_zero_for_a_separable_f(self, monkeypatch):
+        """grow1 and grow2 give one bound at x = 0; its candidate 0 moves nowhere."""
+        dom = d.LatticeDomain([3, 3])
+        f = d.SeparableFunction(dom, 0.0, [[1.0, 2.0], [1.0, 3.0]])
+        g = d.TableFunction(dom, np.zeros(dom.num_points))
+        p = d.DsProblem(f, g)
+        opts = d.SolveOptions(algorithm="supsub")
+        report, runs, (_, calls_g) = _counted_solve(monkeypatch, p, opts)
+        assert report.status == "certified_local_min" and report.final_point == (0, 0)
+        assert runs == 1
+        # g(0) for the start, one double greedy run, the two feasible neighbours of 0
+        assert calls_g == 1 + (2 + 2 * 4) + 2
+        assert _counted_solve(monkeypatch, p, opts, memo=False)[1] == 2
+
+    def test_a_zero_of_the_other_sign_is_solved_again(self):
+        dom = d.LatticeDomain([3, 2])
+        solved = []
+        solve = d.algorithms._solve_once(lambda s: solved.append(s) or len(solved))
+
+        def surrogate(constant, zero):
+            return d.SeparableFunction(dom, constant, [[1.0, zero], [2.0]])
+
+        assert solve(surrogate(0.0, 0.0)) == 1
+        assert solve(surrogate(0.0, 0.0)) == 1
+        assert solve(surrogate(-0.0, 0.0)) == 2   # the constant's sign
+        assert solve(surrogate(-0.0, -0.0)) == 3  # an increment's sign
+        assert solve(surrogate(0.0, 0.0)) == 4    # only the last surrogate is kept
+
+    @pytest.mark.parametrize("algorithm,budget", [("supsub", None), ("modmod", None),
+                                                  ("modmod", 3)])
+    def test_a_second_solve_makes_the_same_calls(self, monkeypatch, algorithm, budget):
+        """The memo lives for one solve: nothing carries over to the next."""
+        for p in _coverage_problems()[:2]:
+            opts = d.SolveOptions(algorithm=algorithm, budget=budget)
+            first, second = (_counted_solve(monkeypatch, p, opts) for _ in range(2))
+            assert first[1:] == second[1:]
+            assert [(e.calls_f, e.calls_g) for e in first[0].events] == \
+                [(e.calls_f, e.calls_g) for e in second[0].events]

@@ -10,7 +10,9 @@ and returned values must agree bit for bit, ties included.
 ``SeparableFunction`` keeps its increments and prefix sums as flat arrays,
 and ``minimize_separable_cardinality`` is a min-plus step per coordinate over
 them; both are checked bit for bit against the per-table formulas and the
-triple-loop dynamic program they replaced.
+triple-loop dynamic program they replaced.  The prefix sums are filled on
+first read; they are checked to be bit for bit the per-table cumsums, with
++inf in the grid's padding, and never to be filled by arithmetic.
 
 The coverage side's batch kernel gathers from a flat powers array; the
 two-index gather it replaced, folded over coordinates in Python, is kept as a
@@ -418,6 +420,41 @@ def test_flat_layout_and_arithmetic_match_per_table_formulas(sizes, seed, intege
     curves = [np.concatenate(([float(i)], t)) for i, t in enumerate(ta)]
     _assert_flat_layout(d.SeparableFunction.from_level_values(dom, curves, 0.25),
                         0.25 + sum(float(c[0]) for c in curves), [np.diff(c) for c in curves])
+
+
+TABLES = ("_flat_prefixes", "_prefix_grid")
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=sizes_st, seed=st.integers(0, 10**6), integer=st.booleans(),
+       first=st.sampled_from(TABLES + ("prefixes",)))
+def test_prefix_tables_are_filled_on_first_read(sizes, seed, integer, first):
+    """Arithmetic leaves a result's prefix tables unfilled; any read fills the
+    grid, bit for bit the per-table cumsums with +inf in the padding, and the
+    flat table is gathered from it."""
+    dom = d.LatticeDomain(sizes)
+    ta, tb = _tables(sizes, seed, integer), _tables(sizes, seed + 1, integer)
+    a, b = d.SeparableFunction(dom, 0.75, ta), d.SeparableFunction(dom, -0.5, tb)
+    levels = np.concatenate([np.concatenate(([0.25], t)) for t in ta])
+    results = [a + b, a - b, 2.5 * a, a + 1.0, a - 1, -a,
+               d.SeparableFunction._of_levels(dom, levels)]
+    for s in [a, b] + results:
+        assert not set(TABLES) & set(s.__dict__)
+    s = results[0]
+    s.tables  # the increments alone
+    assert not set(TABLES) & set(s.__dict__)
+    getattr(s, first)
+    assert "_prefix_grid" in s.__dict__
+    filled = {name: getattr(s, name) for name in TABLES}
+    prefixes = _ref_prefixes([x + y for x, y in zip(ta, tb)])
+    grid = np.full((dom.n, max(sizes)), np.inf)
+    for i, p in enumerate(prefixes):
+        grid[i, :p.size] = p
+    assert filled["_flat_prefixes"].tobytes() == np.concatenate(prefixes).tobytes()
+    assert filled["_prefix_grid"].tobytes() == grid.tobytes()
+    # later reads are the same arrays, and the per-coordinate views split them unchanged
+    assert all(getattr(s, name) is filled[name] for name in TABLES)
+    _assert_flat_layout(s, 0.75 + -0.5, [x + y for x, y in zip(ta, tb)])
 
 
 @settings(max_examples=60, deadline=None)

@@ -179,6 +179,18 @@ class TestSeparable:
         for x in a.domain.points():
             assert combo.value(x) == pytest.approx(2 * a.value(x) - b.value(x) + 1.5)
 
+    @pytest.mark.parametrize("c", [np.int64(2), np.float32(1.5), np.float64(-0.25), 3, True])
+    def test_numpy_scalars_keep_arithmetic_separable(self, c):
+        """Any real scalar shifts the constant, so the separable solvers and bounds still apply."""
+        a = random_separable(1, sizes=(3, 4))
+        for got, constant in ((a + c, a.constant + float(c)), (a - c, a.constant - float(c))):
+            assert isinstance(got, d.SeparableFunction)
+            assert got.constant == constant
+            assert got._increments.tobytes() == a._increments.tobytes()
+            assert d.minimize_separable(got)[0] == d.minimize_separable(a)[0]
+            bound = d.separable_upper_bound(got, 0.0, (1, 2), "grow1")
+            assert bound.value((1, 2)) == pytest.approx(got.value((1, 2)))
+
 
 class TestOracle:
     def test_table_function_row_major(self):
