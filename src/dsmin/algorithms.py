@@ -18,7 +18,10 @@ epsilon * |v| (sign-safe form; plain strict descent when epsilon = 0).
 
 supsub and modmod solve a surrogate equal bit for bit to the one they solved
 last only once per solve: the stored point and value are proposed again, so
-only call counters and times differ from solving it afresh.
+only call counters and times differ from solving it afresh.  Within one
+supsub solve, double greedy's rows of g are also remembered by the levels
+chosen before them, and read again instead of evaluated; this too moves only
+g's call counter and times.
 
 When an iteration produces no accepted move, the current point is certified
 by checking all 2n unit neighbours (the condition the O(n) adjacent-chain
@@ -38,7 +41,8 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .lattice import CapExceededError, LatticeDomain, OracleFunction, SeparableFunction
+from .lattice import (CapExceededError, LatticeDomain, OracleFunction, SeparableFunction,
+                      _RememberedRows)
 from .extension import Chain, _chain_containing, adjacent_chain_family, chain_lower_bound
 from .bounds import dr_violation, separable_upper_bound
 from .decompose import DsProblem, monotone_form
@@ -340,14 +344,20 @@ def supsub(p: DsProblem, opts: Optional[SolveOptions] = None) -> SolveReport:
 
     The inner problem is max g - m_f over the bound m_f.  A bound equal bit
     for bit to the last one solved is not solved again: its point and value
-    are proposed once more, without double greedy's calls of g.
+    are proposed once more, without double greedy's calls of g.  g is fixed
+    for the solve, and a double greedy row of g depends only on the levels
+    chosen before it, so the runs of one solve share g's rows: a row an
+    earlier run evaluated at the same chosen levels is read, not evaluated
+    again (``lattice._RememberedRows``).  A separable g needs no such memo:
+    g - m_f is one separable function.
     """
     opts = opts or SolveOptions(algorithm="supsub")
     if opts.algorithm != "supsub":
         raise ValueError(f"options specify {opts.algorithm!r}")
     coeff = _resolve_dr_coeff(p.f, opts)
     # g is fixed for the solve, so a repeated bound m_f repeats the inner problem
-    maximize = _solve_once(lambda m_f: double_greedy_maximize(p.g - m_f))
+    g = p.g if isinstance(p.g, SeparableFunction) else _RememberedRows(p.g)
+    maximize = _solve_once(lambda m_f: double_greedy_maximize(g - m_f))
 
     def propose(x, rng):
         for variant in _variants(opts.ub_policy):

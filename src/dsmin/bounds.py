@@ -182,20 +182,20 @@ def separable_upper_bound(f: OracleFunction, coeff: float, x,
     h_i(k_i - 1 - x_i + l) - h_i(k_i - 1); above it, grow1 adds
     h_i(l - x_i) - h_i(0) and grow2 h_i(l) - h_i(x_i)).  tight1 and tight2
     then equal f itself and are returned as a copy of it.  Such a bound makes
-    no oracle calls and agrees with the evaluated one up to rounding.
+    no oracle calls and agrees with the evaluated one up to rounding.  f
+    keeps quad and its residual prefix sums for the last coeff it was bounded
+    with (``_separable_split``).
     """
     if not isinstance(f, SeparableFunction):
         split = dr_split(f, coeff)
         return split.quad + dr_upper_bound(split.residual, x, variant)
     d = f.domain
-    quad = SeparableFunction._of_increments(d, 0.0, _quadratic_increments(d, float(coeff)))
+    quad, h = _separable_split(f, float(coeff))
     if variant not in UB_VARIANTS:
         raise ValueError(f"variant must be one of {UB_VARIANTS}, got {variant!r}")
     anchor = d.require_batch([x])[0]
     if variant in ("tight1", "tight2"):
         return SeparableFunction._of_increments(d, f.constant, f._increments)
-    # h_i(l) at offset _level_offsets[i] + l, for every coordinate and level
-    h = f._flat_prefixes - quad._flat_prefixes
     coord, level = d._level_coords, d._levels
     at = anchor[coord]
     below = level < at
@@ -208,3 +208,18 @@ def separable_upper_bound(f: OracleFunction, coeff: float, x,
     phi = h[start + first] - h[start + second]
     hx = f._value_at(anchor) - quad._value_at(anchor)
     return quad + SeparableFunction._of_levels(d, phi, hx)
+
+
+def _separable_split(f: SeparableFunction, coeff: float):
+    """quad = coeff * sum_i x_i^2 and h_i(l) = f_i(l) - quad_i(l) laid end to end.
+
+    h_i(l) sits at ``_level_offsets[i] + l``.  Both depend only on f and
+    coeff, so f keeps them for the last coeff, keyed by its bits, and the
+    bounds of a solve build them once.
+    """
+    key = coeff.hex()
+    if f._split is None or f._split[0] != key:
+        d = f.domain
+        quad = SeparableFunction._of_increments(d, 0.0, _quadratic_increments(d, coeff))
+        f._split = key, quad, f._flat_prefixes - quad._flat_prefixes
+    return f._split[1:]

@@ -291,6 +291,19 @@ def _finite(values: np.ndarray) -> bool:
     return math.isfinite(np.vdot(values, values)) or bool(np.isfinite(values).all())
 
 
+# A sum of terms whose magnitudes total at most this stays finite, rounding included.
+_FINITE_TOTAL = 1e300
+
+
+def _bounded(total: float) -> bool:
+    """Whether ``total``, a bound on the magnitudes summed into each value, keeps them finite.
+
+    NaN is not bounded.  Sum the total in Python floats, which overflow to
+    inf without a warning.
+    """
+    return bool(total <= _FINITE_TOTAL)
+
+
 def _same_domain(a: OracleFunction, b: OracleFunction):
     if a.domain != b.domain:
         raise ValueError(f"domain mismatch: {a.domain} vs {b.domain}")
@@ -357,8 +370,12 @@ class _Sweep:
 
     This form builds the rows and evaluates them as a batch.  An oracle with
     a cheaper form returns a subclass from ``_sweep`` that carries what the
-    chosen levels contribute from one coordinate to the next.
+    chosen levels contribute from one coordinate to the next.  Such a leaf
+    may set ``finite`` when its own arrays prove every row finite; it then
+    skips the check of each coordinate's rows.
     """
+
+    finite = False
 
     def __init__(self, f: OracleFunction):
         self.f = f
@@ -375,7 +392,8 @@ class _Sweep:
         above it combines them.
         """
         self.f._count(rows.stop - rows.start)
-        return self._checked(self._values(rows))
+        values = self._values(rows)
+        return values if self.finite else self._checked(values)
 
     def _checked(self, values: np.ndarray) -> np.ndarray:
         if not _finite(values):
@@ -424,6 +442,66 @@ class _CombinedSweep(_Sweep):
     def choose(self, level: int):
         for sweep in self.parents:
             sweep.choose(level)
+        super().choose(level)
+
+
+class _RememberedRows(OracleFunction):
+    """A view of g whose sweeps remember g's rows by the levels chosen before them.
+
+    A sweep row of g at coordinate i depends only on the chosen levels c_<i,
+    so the double greedy runs of g - m_1, g - m_2, ... ask g again for rows
+    they have had.  The view keeps each coordinate's rows, the arrays g's own
+    sweep computed, in a trie keyed by the chosen levels.  A sweep through the
+    view reads a remembered coordinate and evaluates nothing below it; at a
+    prefix not seen yet it catches g's own sweep up with the chosen levels
+    and evaluates, checks and keeps the rows.  A refused row is not kept.  So
+    ``g.call_count`` counts the rows evaluated, while a composite above the
+    view counts every row it combines.  A batch is g's batch: only sweeps
+    read the remembered rows, since a b-row may differ from the batch value
+    in the last bit.  The memo lives as long as the view.
+    """
+
+    def __init__(self, g: OracleFunction):
+        self.g = g
+        self._root = [None, {}]  # a node: [its rows, or None; {level: child node}]
+        super().__init__(g.domain, name=g.name, batch_fn=g._values)
+
+    def _batch(self, X: np.ndarray) -> np.ndarray:
+        return self.g._batch(X)
+
+    def _sweep(self) -> "_Sweep":
+        return _RememberedSweep(self)
+
+
+class _RememberedSweep(_Sweep):
+    """A sweep of a ``_RememberedRows`` view (see there)."""
+
+    def __init__(self, f: _RememberedRows):
+        super().__init__(f)
+        self.node = f._root
+        self.inner = None  # g's own sweep, made at the first prefix not remembered
+
+    def _raw(self, rows: slice) -> np.ndarray:
+        values = self.node[0]
+        if values is None:
+            if self.inner is None:
+                self.inner = self.f.g._sweep()
+                for level in self.chosen:
+                    self.inner.choose(level)
+            values = self.inner._raw(rows)
+            # a leaf has refused its non-finite rows; a composite's rows are checked here
+            if not isinstance(self.inner, _CombinedSweep) or _finite(values):
+                self.node[0] = values
+        return values
+
+    def choose(self, level: int):
+        children = self.node[1]
+        node = children.get(level)
+        if node is None:
+            node = children[level] = [None, {}]
+        self.node = node
+        if self.inner is not None:
+            self.inner.choose(level)
         super().choose(level)
 
 
@@ -486,6 +564,9 @@ class SeparableFunction(OracleFunction):
         self.constant = float(constant)
         self._increments = increments
         super().__init__(domain, name=name)
+
+    # ``bounds._separable_split`` for the last coefficient: (its bits, quad, f - quad's prefixes)
+    _split = None
 
     # Filled on first read, after which each is a plain instance attribute.
     @functools.cached_property
@@ -608,12 +689,19 @@ class _SeparableSweep(_Sweep):
     sum bit for bit; the running total starts at -0.0, which adds exactly.  A
     b-row adds the suffix sum of the later coordinates' top prefixes instead,
     which may round differently in the last bit.
+
+    Every value sums the constant and at most one prefix sum per coordinate,
+    so |constant| + sum_i max_l |p_i(l)| bounds it, and a bounded total
+    proves every row finite.
     """
 
     def __init__(self, f: SeparableFunction):
         super().__init__(f)
-        self.terms = _sweep_terms(f.domain, f._flat_prefixes, np.add, -0.0)
+        d = f.domain
+        self.terms = _sweep_terms(d, f._flat_prefixes, np.add, -0.0)
         self.total = -0.0
+        self.finite = _bounded(abs(f.constant) + sum(np.maximum.reduceat(
+            np.abs(f._flat_prefixes), d._level_offsets).tolist()))
 
     def choose(self, level: int):
         f = self.f

@@ -65,6 +65,7 @@ from .lattice import (
     SeparableFunction,
     TableFunction,
     _Sweep,
+    _bounded,
     _sweep_terms,
     check_submodular,
 )
@@ -230,8 +231,12 @@ class _Coverage(OracleFunction):
         if self._sweep_factors is None:
             # each sweep row's miss factors: (1 - p_i)^l, times the later
             # coordinates' top factors for a b-row
-            self._sweep_factors = _sweep_terms(
+            factors = _sweep_terms(
                 self.domain, self._powers[self.domain._level_slots], np.multiply, 1.0)
+            # miss factors in [0, 1] keep each region's term within its |w_j|
+            in_unit = all(((0.0 <= a) & (a <= 1.0)).all() for a in (self._powers, factors))
+            self._sweep_finite = in_unit and _bounded(sum(np.abs(self._weights).tolist()))
+            self._sweep_factors = factors
         return _CoverageSweep(self)
 
 
@@ -242,12 +247,14 @@ class _CoverageSweep(_Sweep):
     a-row's factors after coordinate i are 1.0, so missed * (1 - p_i)^l is
     its product bit for bit.  A b-row's product takes the later coordinates'
     top factors as one suffix product, which may round differently in the
-    last bit.
+    last bit.  When every miss factor lies in [0, 1] and the weights' total
+    magnitude is bounded, every row is finite by construction.
     """
 
     def __init__(self, f: _Coverage):
         super().__init__(f)
         self.missed = np.ones(f._powers.shape[1])
+        self.finite = f._sweep_finite
 
     def choose(self, level: int):
         f = self.f

@@ -92,7 +92,9 @@ def double_greedy_maximize(g: OracleFunction):
     ``lattice._Sweep``).  The new a and b are rows of the sweep or
     unchanged, so their values are carried forward, and the returned value
     is the carried g(a).  That is exactly 2 + 2 * sum_i (k_i - 1) oracle
-    calls.
+    calls.  supsub passes g - m_f over a view of its g that remembers g's
+    rows across the runs of one solve (``lattice._RememberedRows``): the
+    composite still counts every row, while g counts only those evaluated.
 
     Each coordinate's rows are compared as Python floats: the gains one by
     one, and the first best level on each side by ``max`` and ``index``.

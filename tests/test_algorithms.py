@@ -307,19 +307,32 @@ def _coverage_problems():
 
 
 def _counted_solve(monkeypatch, p, opts, memo=True):
-    """The report, the inner solver runs and the (f, g) calls of one solve."""
-    runs = []
+    """The report, the inner solver runs, the (f, g) calls of one solve and
+    the rows of g that supsub's row memo served instead of evaluating them.
+
+    ``memo=False`` patches off both memos: the repeated-surrogate memo and
+    the row memo."""
+    runs, served = [], []
     with monkeypatch.context() as m:
         for name in INNER_SOLVERS:
             def counted(*args, _real=getattr(d.algorithms, name)):
                 runs.append(args)
                 return _real(*args)
             m.setattr(d.algorithms, name, counted)
+
+        def raw(sweep, rows, _real=d.lattice._RememberedSweep._raw):
+            before = sweep.f.g.call_count
+            values = _real(sweep, rows)
+            if sweep.f.g.call_count == before:
+                served.append(rows.stop - rows.start)
+            return values
+        m.setattr(d.lattice._RememberedSweep, "_raw", raw)
         if not memo:
             m.setattr(d.algorithms, "_solve_once", lambda solver: solver)
+            m.setattr(d.algorithms, "_RememberedRows", lambda g: g)
         f0, g0 = p.f.call_count, p.g.call_count
         report = d.solve(p, opts)
-    return report, len(runs), (p.f.call_count - f0, p.g.call_count - g0)
+    return report, len(runs), (p.f.call_count - f0, p.g.call_count - g0), sum(served)
 
 
 def _trajectory(report):
@@ -333,24 +346,29 @@ def _trajectory(report):
 class TestRepeatedSurrogates:
     @pytest.mark.parametrize("algorithm,budget,policy", MEMO_CASES)
     def test_only_counters_move(self, monkeypatch, algorithm, budget, policy):
-        """With the memo patched off, the same run; supsub's g counter drops by
-        exactly the skipped double greedy runs' 2 + 2 * sum(k_i - 1) calls."""
-        skipped_total = 0
+        """With both memos patched off, the same run.  supsub's g counter drops
+        by exactly the rows the row memo served plus the skipped double greedy
+        runs' 2 + 2 * sum(k_i - 1) calls; modmod's does not move."""
+        skipped_total = served_total = 0
         for p in _coverage_problems():
             opts = d.SolveOptions(algorithm=algorithm, budget=budget, ub_policy=policy)
-            on, runs_on, calls_on = _counted_solve(monkeypatch, p, opts)
-            off, runs_off, calls_off = _counted_solve(monkeypatch, p, opts, memo=False)
+            on, runs_on, calls_on, served = _counted_solve(monkeypatch, p, opts)
+            off, runs_off, calls_off, served_off = _counted_solve(monkeypatch, p, opts,
+                                                                  memo=False)
             assert _trajectory(on) == _trajectory(off)
             per_run = 2 + 2 * sum(k - 1 for k in p.domain.sizes) if algorithm == "supsub" else 0
             skipped = runs_off - runs_on
-            assert skipped >= 0
-            assert calls_off == (calls_on[0], calls_on[1] + per_run * skipped)
+            assert skipped >= 0 and served_off == 0
+            assert calls_off == (calls_on[0], calls_on[1] + served + per_run * skipped)
             assert [e.calls_f for e in on.events] == [e.calls_f for e in off.events]
             saved = [b.calls_g - a.calls_g for a, b in zip(on.events, off.events)]
             assert saved == sorted(saved)
-            assert all(s % per_run == 0 for s in saved) if per_run else not any(saved)
+            # runs after the last event (whose candidate was x) save calls too
+            assert saved[-1] <= served + per_run * skipped if per_run else not any(saved)
             skipped_total += skipped
+            served_total += served
         assert skipped_total > 0  # the ensemble does repeat surrogates
+        assert (served_total > 0) == (algorithm == "supsub")  # and supsub repeats g's rows
 
     def test_double_greedy_runs_once_at_zero_for_a_separable_f(self, monkeypatch):
         """grow1 and grow2 give one bound at x = 0; its candidate 0 moves nowhere."""
@@ -359,7 +377,7 @@ class TestRepeatedSurrogates:
         g = d.TableFunction(dom, np.zeros(dom.num_points))
         p = d.DsProblem(f, g)
         opts = d.SolveOptions(algorithm="supsub")
-        report, runs, (_, calls_g) = _counted_solve(monkeypatch, p, opts)
+        report, runs, (_, calls_g), _ = _counted_solve(monkeypatch, p, opts)
         assert report.status == "certified_local_min" and report.final_point == (0, 0)
         assert runs == 1
         # g(0) for the start, one double greedy run, the two feasible neighbours of 0

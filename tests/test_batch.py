@@ -425,6 +425,109 @@ def test_nested_composite_sweep_refuses_an_inner_inf_before_combining():
         assert nodes[3].call_count == 4
 
 
+def test_a_separable_sweep_near_overflow_keeps_its_check():
+    """Prefix sums of 1e308 are finite, but their total bound is not: the sweep
+    cannot prove its rows finite, so it still refuses the row that overflows.
+    A bounded function's sweep skips the check."""
+    dom = d.LatticeDomain([2, 3])
+    s = d.SeparableFunction(dom, 0.0, [[1e308], [1e308, -1e308]])
+    sweep = s._sweep()
+    assert not sweep.finite
+    assert sweep.rows().tolist() == [1e308, 0.0]  # at (1, 0) and (0, 2)
+    sweep.choose(1)
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=re.escape(f"{s!r} returned inf at point (1, 1)")):
+        sweep.rows()
+    assert s.call_count == 2 + 4
+    assert d.SeparableFunction(dom, -1e299, [[1e299], [1e299, -1e299]])._sweep().finite
+
+
+def test_a_coverage_sweep_proves_its_rows_finite_only_with_bounded_weights():
+    """Miss factors in [0, 1] keep each region's term within |w_j|: bounded
+    weights prove every row finite; weights whose total overflows keep the
+    check, which refuses the overflowing row."""
+    spec = d.generate_ensemble("coverage", {"count": 1, "sizes": [3, 2], "regions": 2},
+                               seed=1)[0]
+    assert d.build_problem(spec, validate=False)[0].g._sweep().finite
+    spec["g"]["probs"] = [[1.0, 1.0], [1.0, 1.0]]
+    spec["g"]["weights"] = [1e308, 1e308]
+    g = d.build_problem(spec, validate=False)[0].g
+    sweep = g._sweep()
+    assert not sweep.finite
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=re.escape(f"{g!r} returned inf at point (1, 0)")):
+        sweep.rows()
+
+
+def _paths(sizes, seed):
+    """Three level paths; the second and third share a random prefix with the first."""
+    rng = np.random.default_rng(seed)
+    first = rng.integers(0, sizes).tolist()
+    paths = [first]
+    for _ in range(2):
+        shared = int(rng.integers(0, len(sizes) + 1))
+        paths.append(first[:shared] + rng.integers(0, sizes).tolist()[shared:])
+    return paths
+
+
+@settings(max_examples=30, deadline=None)
+@given(sizes=sizes_st, seed=st.integers(0, 10**6))
+def test_remembered_rows_are_the_rows_a_fresh_sweep_computes(sizes, seed):
+    """Sweeps of view - s along paths that share prefixes, for a coverage, a
+    table and a composite g: each of g's rows, remembered or not, is bit for bit the row a fresh
+    sweep of g computes at that prefix; g counts only the rows evaluated at a
+    prefix not seen before, and the composite counts every row it combines."""
+    problem = _coverage_g(sizes, seed)
+    dom = problem.domain
+    rng = np.random.default_rng(seed + 1)
+    s = d.SeparableFunction(dom, 0.0, [rng.uniform(0, 0.6, size=k - 1) for k in sizes])
+    table = d.TableFunction(dom, rng.uniform(-1.0, 1.0, size=dom.num_points))
+    for g in (problem.g, table, table - problem.g):
+        view = d.lattice._RememberedRows(g)
+        seen = set()
+        for path in _paths(sizes, seed):
+            top = view - s
+            sweep, fresh, fresh_s = top._sweep(), g._sweep(), s._sweep()
+            for i, k in enumerate(sizes):
+                rows = 2 * (k - 1)
+                before = g.call_count, top.call_count
+                values = sweep.rows()
+                assert (g.call_count - before[0], top.call_count - before[1]) == (
+                    0 if tuple(path[:i]) in seen else rows, rows)
+                remembered = sweep.parents[0].node[0]
+                assert remembered.tobytes() == fresh.rows().tobytes()
+                assert values.tobytes() == (remembered - fresh_s.rows()).tobytes()
+                seen.add(tuple(path[:i]))
+                sweep.choose(path[i])
+                fresh.choose(path[i])
+                fresh_s.choose(path[i])
+
+
+def test_a_refused_row_is_not_remembered():
+    """g is +inf at (0, 1), or a composite that overflows there, and double
+    greedy reaches (0, 1) at coordinate 1: each run refuses it with the same
+    message (g's own, or the top's for what a composite combines to).  The
+    second run reads coordinate 0's rows from the memo and evaluates
+    coordinate 1's again."""
+    dom = d.LatticeDomain([3, 3])
+    values = np.zeros(dom.num_points)
+    values[dom.flat_index((0, 1))] = np.inf
+    table = d.TableFunction(dom, values.copy())
+    values[dom.flat_index((0, 1))] = 1e308
+    overflowing = d.TableFunction(dom, values) + 1e308
+    for g in (table, overflowing):
+        view = d.lattice._RememberedRows(g)
+        for calls in (2 + 4 + 4, 2 + 4):
+            top = view - d.SeparableFunction.zero(dom)
+            refusing = g if g is table else top
+            before = g.call_count
+            with np.errstate(over="ignore"), pytest.raises(
+                    ValueError, match=re.escape(f"{refusing!r} returned inf at point (0, 1)")):
+                d.double_greedy_maximize(top)
+            assert g.call_count - before == calls
+            assert view._root[0] is not None and view._root[1][0][0] is None
+
+
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("curve", [(0.0, 0.0, 0.0, 0.0), (0.3, -0.3, 0.2, -0.2)])
 def test_double_greedy_zero_gain_coordinate_matches_reference(seed, curve):

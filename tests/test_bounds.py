@@ -176,3 +176,20 @@ def test_separable_f_bounds_are_read_from_its_tables(sizes, seed, slack):
                                                        rel=1e-12, abs=1e-12 * scale)
         if variant in ("tight1", "tight2"):
             assert got.tobytes() == values.tobytes()
+
+
+def test_separable_bound_tables_are_kept_for_the_last_coeff():
+    """f keeps quad and f - quad for the last coeff, keyed by its bits: every
+    bound equals, bit for bit, the one a fresh copy of f gives."""
+    rng = np.random.default_rng(5)
+    dom = d.LatticeDomain([3, 4, 2])
+    f = d.SeparableFunction(dom, 0.3, [rng.normal(size=k - 1) for k in dom.sizes])
+    for coeff in (0.5, 0.5, 2.0, -0.0, 0.0, 0.5):
+        for variant in ("grow1", "grow2"):
+            for x in [(0, 0, 0), (1, 3, 0), (2, 2, 1)]:
+                fresh = d.SeparableFunction(dom, f.constant, f.tables)
+                got, want = (d.separable_upper_bound(h, coeff, x, variant) for h in (f, fresh))
+                assert got.constant.hex() == want.constant.hex()
+                assert got._increments.tobytes() == want._increments.tobytes()
+        assert f._split[0] == coeff.hex()
+    assert f.call_count == 0

@@ -14,11 +14,20 @@ event's point, label, acceptance and the bits of v, f, g and surrogate, the
 certificate (point, value, neighbours, best descending neighbour) and the
 predicted bound agree.  Call counters (per event and per solve) and wall times
 are reported, not compared.  The exit status is 1 when any trajectory differs.
+
+    python3 tools/compare_trajectories.py --golden tests/data/trajectories.json
+
+writes the golden summary of this tree's solves that ``tests/test_trajectories.py``
+checks: per solve its status, final point, the bits of its final v, its
+calls of f and g, and a sha256 of its events (counters included), its
+certificate and its predicted bound.  Regenerate it only for a change that
+moves trajectories or counts on purpose, and say which moved and why.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -41,8 +50,16 @@ def _bits(value):
 
 
 def record(tree: Path) -> list:
-    """Every solve of the workloads' instances, one dict per solve."""
+    """``record_solves`` with dsmin and the workloads imported from ``tree``."""
     sys.path[:0] = [str(tree / "src"), str(tree / "benchmarks")]
+    return record_solves()
+
+
+def record_solves() -> list:
+    """Every solve of the workloads' instances, one dict per solve.
+
+    dsmin and the benchmark's ``workloads`` are imported from ``sys.path``.
+    """
     from dsmin import algorithms, problems
     import workloads as bench
 
@@ -60,6 +77,7 @@ def record(tree: Path) -> list:
                         "workload": name, "seed": seed, "instance": inst.name,
                         "solve": solve.label, "status": report.status,
                         "iterates": [list(r.point) for r in report.iterates],
+                        "final_v": _bits(report.final_value),
                         "events": [{"t": r.t, "x": list(r.point), "v": _bits(r.v),
                                     "f": _bits(r.f_val), "g": _bits(r.g_val),
                                     "surrogate": _bits(r.surrogate), "accepted": r.accepted,
@@ -75,6 +93,17 @@ def record(tree: Path) -> list:
                         "calls_g": problem.g.call_count - g0,
                     })
     return solves
+
+
+def golden(solves: list) -> list:
+    """The summary of each recorded solve that the golden file keeps."""
+    return [{
+        "solve": f'{s["workload"]}/seed{s["seed"]}/{s["instance"]}/{s["solve"]}',
+        "status": s["status"], "final_point": s["iterates"][-1], "v": s["final_v"],
+        "calls_f": s["calls_f"], "calls_g": s["calls_g"],
+        "events_sha256": hashlib.sha256(json.dumps(
+            [s["events"], s["certificate"], s["predicted"]], sort_keys=True).encode()).hexdigest(),
+    } for s in solves]
 
 
 def _without_counters(solve: dict) -> dict:
@@ -117,10 +146,19 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("trees", nargs="*", type=Path, help="OLD_TREE NEW_TREE")
     ap.add_argument("--record", type=Path, help="record one tree's solves as JSON on stdout")
+    ap.add_argument("--golden", type=Path,
+                    help="write this tree's golden summary to GOLDEN (a JSON file)")
     args = ap.parse_args(argv)
 
     if args.record is not None:
         json.dump(record(args.record.resolve()), sys.stdout)
+        return 0
+    if args.golden is not None:
+        summary = golden(record(Path(__file__).resolve().parent.parent))
+        # one solve per line, so that a regenerated file diffs by solve
+        lines = ",\n".join(json.dumps(s) for s in summary)
+        args.golden.write_text(f'{{"seeds": {list(SEEDS)}, "workloads": {json.dumps(WORKLOADS)}, '
+                               f'"solves": [\n{lines}\n]}}\n')
         return 0
     if len(args.trees) != 2:
         ap.error("give OLD_TREE and NEW_TREE")
