@@ -11,19 +11,21 @@ quadratic part is already separable; adding a separable bound for h that is
 tight at an anchor x gives a separable bound for f that majorises f
 everywhere and equals f(x) at the anchor.
 
-Four bound variants are exposed.  Writing a_i = max(x_i - y_i, 0) and
-b_i = max(y_i - x_i, 0), the per-coordinate contribution added to h(x) is:
+Four bound variants are exposed.  Each adds to h(x), at level l of
+coordinate i, one term
 
-  grow1:  -[h(x) - h(x - a_i e_i)]            for levels below the anchor,
-          +[h(b_i e_i) - h(0)]                 for levels above it.
-  grow2:  -[h(top) - h(top - a_i e_i)]         below (top = k_max),
-          +[h(x + b_i e_i) - h(x)]             above.
-  tight1: grow1 below; above, the added increments are anchored at the
-          lowest base consistent with the anchor coordinate:
-          +[h((x_i + b_i) e_i) - h(x_i e_i)].
-  tight2: below, the removed increments are anchored at the highest
-          consistent base z = k_max with z_i = x_i:
-          -[h(z) - h(z - a_i e_i)]; grow2 above.
+    h(B, i -> L) - h(B, i -> R),
+
+where (B, i -> L) is the base point B with coordinate i set to L.  Each
+variant has one base below the anchor level x_i and one above it
+(top = k_max):
+
+  variant  B below  B above  L, R below            L, R above
+  grow1    x        0        l, x_i                l - x_i, 0
+  grow2    top      x        k_i - 1 - x_i + l,    l, x_i
+                             k_i - 1
+  tight1   x        0        l, x_i                l, x_i
+  tight2   top      x        l, x_i                l, x_i
 
 All four majorise h and are tight at x; tight1 <= grow1 and
 tight2 <= grow2 pointwise (the grow variants relax the tight ones by
@@ -92,15 +94,34 @@ def _quadratic_increments(d: LatticeDomain, coeff: float) -> np.ndarray:
     return coeff * (2.0 * d._levels[d._rises] - 1.0)
 
 
+def _level_table(d: LatticeDomain, anchor: np.ndarray, variant: str):
+    """The variant's term at every (coordinate, level), in (coordinate, level) order.
+
+    Returns (below, L, R): whether the level lies below the anchor, and the
+    levels L and R whose values at the side's base the term subtracts (see
+    the module docstring).  At the anchor level L = R.
+    """
+    coord, level = d._level_coords, d._levels
+    at = anchor[coord]
+    below = level < at
+    if variant == "grow1":
+        return below, np.where(below, level, level - at), np.where(below, at, 0)
+    if variant == "grow2":
+        top = d._k_max[coord]
+        return below, np.where(below, top - at + level, level), np.where(below, top, at)
+    return below, level, at
+
+
 def dr_upper_bound(h: OracleFunction, x, variant: str = "grow1") -> SeparableFunction:
     """Separable upper bound of a DR-submodular h, tight at the anchor x.
 
     See the module docstring for the four variants.  h is trusted to be
     DR-submodular; the bound property fails otherwise.  Every point the
     variant needs is evaluated in one batch: h(x), then h(0) for grow1 or
-    h(k_max) for grow2, then one point per level off the anchor, and a second
-    one for the levels whose bound is a difference of two off-anchor values
-    (tight1 above the anchor, tight2 below it).
+    h(k_max) for grow2, then the point (B, i -> L) of each level off the
+    anchor.  (B, i -> R) is B itself where B is one of those shared points;
+    elsewhere (tight1 above the anchor, tight2 below it) it is evaluated
+    last, one per level.
     """
     if variant not in UB_VARIANTS:
         raise ValueError(f"variant must be one of {UB_VARIANTS}, got {variant!r}")
@@ -111,60 +132,29 @@ def dr_upper_bound(h: OracleFunction, x, variant: str = "grow1") -> SeparableFun
     zero = np.zeros(d.n, dtype=np.int64)
 
     # one row per (coordinate, level) with level != x[coordinate]
-    coord, level = d._level_coords, d._levels
-    off = level != anchor[coord]
-    coord, level = coord[off], level[off]
-    below = level < anchor[coord]
-    rows = np.arange(coord.size)
+    below, L, R = _level_table(d, anchor, variant)
+    off = L != R
+    coord, below, L, R = d._level_coords[off], below[off], L[off], R[off]
+    low, high = (anchor, zero) if variant in ("grow1", "tight1") else (top, anchor)
+    shared = [anchor] + ([zero] if variant == "grow1" else [top] if variant == "grow2" else [])
+    own = ~below if variant == "tight1" else below if variant == "tight2" else np.zeros_like(below)
 
-    def with_level(base, values, where=None):
-        """base with coordinate coord[r] set to values[r], for the rows r in where."""
-        where = rows if where is None else rows[where]
-        points = np.repeat(base[None, :], where.size, axis=0)
-        points[np.arange(where.size), coord[where]] = np.asarray(values)[where]
+    def with_level(levels, rows):
+        """Each row's base with coordinate coord[r] set to levels[r], for the rows r in rows."""
+        points = np.where(below[rows, None], low, high)
+        points[np.arange(points.shape[0]), coord[rows]] = levels[rows]
         return points
 
-    # first: the point whose value enters each level's bound with a plus sign
-    # (a minus sign for grow1/grow2/tight1 below the anchor); second: the point
-    # subtracted, where it is not the shared h(x), h(0) or h(k_max)
-    if variant in ("grow1", "tight1"):
-        axis_level = level if variant == "tight1" else level - anchor[coord]
-        first = np.where(below[:, None], with_level(anchor, level),
-                         with_level(zero, axis_level))
-    elif variant == "grow2":
-        top_level = top[coord] - (anchor[coord] - level)
-        first = np.where(below[:, None], with_level(top, top_level), with_level(anchor, level))
-    else:  # tight2
-        first = np.where(below[:, None], with_level(top, level), with_level(anchor, level))
-    shared = [anchor] + ([zero] if variant == "grow1" else [top] if variant == "grow2" else [])
-    if variant == "tight1":
-        second = with_level(zero, anchor[coord], ~below)
-    elif variant == "tight2":
-        second = with_level(top, anchor[coord], below)
-    else:
-        second = np.empty((0, d.n), dtype=np.int64)
-
-    values = h._batch(np.vstack([np.array(shared), first, second]))
+    values = h._batch(np.vstack(shared + [with_level(L, slice(None)), with_level(R, own)]))
     hx, ref = values[0], values[len(shared) - 1]
-    h_first = values[len(shared):len(shared) + coord.size]
-    h_second = values[len(shared) + coord.size:]
-
-    bound = np.empty(coord.size)
-    if variant == "grow1":
-        bound[below] = -(hx - h_first[below])
-        bound[~below] = h_first[~below] - ref
-    elif variant == "tight1":
-        bound[below] = -(hx - h_first[below])
-        bound[~below] = h_first[~below] - h_second
-    elif variant == "grow2":
-        bound[below] = -(ref - h_first[below])
-        bound[~below] = h_first[~below] - hx
-    else:  # tight2
-        bound[below] = h_first[below] - h_second
-        bound[~below] = h_first[~below] - hx
+    h_L = values[len(shared):len(shared) + coord.size]
+    # h(B, i -> R) is h(B) where B is shared; ref is h(0), h(k_max) or h(x)
+    h_low, h_high = (hx, ref) if low is anchor else (ref, hx)
+    h_R = np.where(below, h_low, h_high)
+    h_R[own] = values[len(shared) + coord.size:]
 
     phi = np.zeros(sum(d.sizes))
-    phi[off] = bound
+    phi[off] = h_L - h_R
     return SeparableFunction._of_levels(d, phi, float(hx))
 
 
@@ -176,15 +166,12 @@ def separable_upper_bound(f: OracleFunction, coeff: float, x,
     The result majorises f everywhere and equals f at the anchor.
 
     A ``SeparableFunction`` f is not evaluated: its residual h = f - quad is
-    separable too, so each level's term of ``dr_upper_bound`` is a difference
-    of two values of one coordinate's curve h_i, read from the prefix tables
-    (below the anchor, grow1 adds h_i(l) - h_i(x_i) and grow2
-    h_i(k_i - 1 - x_i + l) - h_i(k_i - 1); above it, grow1 adds
-    h_i(l - x_i) - h_i(0) and grow2 h_i(l) - h_i(x_i)).  tight1 and tight2
-    then equal f itself and are returned as a copy of it.  Such a bound makes
-    no oracle calls and agrees with the evaluated one up to rounding.  f
-    keeps quad and its residual prefix sums for the last coeff it was bounded
-    with (``_separable_split``).
+    separable too, so each level's term h(B, i -> L) - h(B, i -> R) is
+    h_i(L) - h_i(R), read from the curves of h whatever the base.  tight1
+    and tight2 then equal f itself and are returned as a copy of it.  Such a
+    bound makes no oracle calls and agrees with the evaluated one up to
+    rounding.  f keeps quad and its residual curves for the last coeff it
+    was bounded with (``_separable_split``).
     """
     if not isinstance(f, SeparableFunction):
         split = dr_split(f, coeff)
@@ -196,16 +183,9 @@ def separable_upper_bound(f: OracleFunction, coeff: float, x,
     anchor = d.require_batch([x])[0]
     if variant in ("tight1", "tight2"):
         return SeparableFunction._of_increments(d, f.constant, f._increments)
-    coord, level = d._level_coords, d._levels
-    at = anchor[coord]
-    below = level < at
-    if variant == "grow1":
-        first, second = np.where(below, level, level - at), np.where(below, at, 0)
-    else:  # grow2
-        top = d._k_max[coord]
-        first, second = np.where(below, top - at + level, level), np.where(below, top, at)
-    start = d._level_offsets[coord]
-    phi = h[start + first] - h[start + second]
+    _, L, R = _level_table(d, anchor, variant)
+    start = d._level_offsets[d._level_coords]
+    phi = h[start + L] - h[start + R]
     hx = f._value_at(anchor) - quad._value_at(anchor)
     return quad + SeparableFunction._of_levels(d, phi, hx)
 

@@ -371,16 +371,17 @@ class _Sweep:
     This form builds the rows and evaluates them as a batch.  An oracle with
     a cheaper form returns a subclass from ``_sweep`` that carries what the
     chosen levels contribute from one coordinate to the next.  Such a leaf
-    may set ``finite`` when its own arrays prove every row finite; it then
-    skips the check of each coordinate's rows.
+    may pass ``bound``, a bound on the magnitude of every row that its own
+    arrays prove (inf when unknown); a composite's bound follows from its
+    parents'.  A node whose bound keeps its rows finite skips their check.
     """
 
-    finite = False
-
-    def __init__(self, f: OracleFunction):
+    def __init__(self, f: OracleFunction, bound: float = math.inf):
         self.f = f
         self.chosen = []
         self.slices = f.domain._sweep_rows[0]
+        self.bound = bound
+        self.finite = _bounded(bound)
 
     def rows(self) -> np.ndarray:
         return self._raw(self.slices[len(self.chosen)])
@@ -392,11 +393,10 @@ class _Sweep:
         above it combines them.
         """
         self.f._count(rows.stop - rows.start)
-        values = self._values(rows)
-        return values if self.finite else self._checked(values)
+        return self._checked(self._values(rows))
 
     def _checked(self, values: np.ndarray) -> np.ndarray:
-        if not _finite(values):
+        if not self.finite and not _finite(values):
             self.f._refuse(values, self.points())
         return values
 
@@ -425,12 +425,20 @@ class _CombinedSweep(_Sweep):
     Each node is counted just before its values are computed, parents in
     order, and each leaf checks its own values, so a non-finite leaf is
     refused, naming it, before any combine runs.  The composites between the
-    leaves and the top are not checked; the top checks what they combine to.
+    leaves and the top are not checked; the top checks what they combine to,
+    unless its bound proves it finite.  The bound of f + g and f - g is the
+    sum of the parents' bounds, that of f + c adds |c|, and that of c * f is
+    |c| times f's (NaN, so unproven, for 0 * inf).
     """
 
     def __init__(self, f: _Combined):
-        super().__init__(f)
         self.parents = [p._sweep() for p in f._parents]
+        bounds = [sweep.bound for sweep in self.parents]
+        if f._op is np.multiply:
+            bound = abs(f._constant[0]) * bounds[0]
+        else:
+            bound = sum(bounds) + sum(abs(c) for c in f._constant)
+        super().__init__(f, bound)
 
     def rows(self) -> np.ndarray:
         return self._checked(super().rows())
@@ -454,16 +462,19 @@ class _RememberedRows(OracleFunction):
     sweep computed, in a trie keyed by the chosen levels.  A sweep through the
     view reads a remembered coordinate and evaluates nothing below it; at a
     prefix not seen yet it catches g's own sweep up with the chosen levels
-    and evaluates, checks and keeps the rows.  A refused row is not kept.  So
-    ``g.call_count`` counts the rows evaluated, while a composite above the
-    view counts every row it combines.  A batch is g's batch: only sweeps
-    read the remembered rows, since a b-row may differ from the batch value
-    in the last bit.  The memo lives as long as the view.
+    and keeps the rows that sweep returns, checked as without the view.  A
+    refused row is not kept.  The view's sweep takes the bound of g's own,
+    for a composite above it.  So ``g.call_count`` counts the rows
+    evaluated, while a composite above the view counts every row it
+    combines.  A batch is g's batch: only sweeps read the remembered rows,
+    since a b-row may differ from the batch value in the last bit.  The memo
+    lives as long as the view.
     """
 
     def __init__(self, g: OracleFunction):
         self.g = g
         self._root = [None, {}]  # a node: [its rows, or None; {level: child node}]
+        self._bound = g._sweep().bound
         super().__init__(g.domain, name=g.name, batch_fn=g._values)
 
     def _batch(self, X: np.ndarray) -> np.ndarray:
@@ -477,7 +488,7 @@ class _RememberedSweep(_Sweep):
     """A sweep of a ``_RememberedRows`` view (see there)."""
 
     def __init__(self, f: _RememberedRows):
-        super().__init__(f)
+        super().__init__(f, f._bound)
         self.node = f._root
         self.inner = None  # g's own sweep, made at the first prefix not remembered
 
@@ -488,10 +499,7 @@ class _RememberedSweep(_Sweep):
                 self.inner = self.f.g._sweep()
                 for level in self.chosen:
                     self.inner.choose(level)
-            values = self.inner._raw(rows)
-            # a leaf has refused its non-finite rows; a composite's rows are checked here
-            if not isinstance(self.inner, _CombinedSweep) or _finite(values):
-                self.node[0] = values
+            values = self.node[0] = self.inner.rows()
         return values
 
     def choose(self, level: int):
@@ -691,17 +699,15 @@ class _SeparableSweep(_Sweep):
     which may round differently in the last bit.
 
     Every value sums the constant and at most one prefix sum per coordinate,
-    so |constant| + sum_i max_l |p_i(l)| bounds it, and a bounded total
-    proves every row finite.
+    so |constant| + sum_i max_l |p_i(l)| bounds its magnitude.
     """
 
     def __init__(self, f: SeparableFunction):
-        super().__init__(f)
         d = f.domain
+        super().__init__(f, abs(f.constant) + sum(np.maximum.reduceat(
+            np.abs(f._flat_prefixes), d._level_offsets).tolist()))
         self.terms = _sweep_terms(d, f._flat_prefixes, np.add, -0.0)
         self.total = -0.0
-        self.finite = _bounded(abs(f.constant) + sum(np.maximum.reduceat(
-            np.abs(f._flat_prefixes), d._level_offsets).tolist()))
 
     def choose(self, level: int):
         f = self.f

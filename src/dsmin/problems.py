@@ -65,7 +65,6 @@ from .lattice import (
     SeparableFunction,
     TableFunction,
     _Sweep,
-    _bounded,
     _sweep_terms,
     check_submodular,
 )
@@ -235,7 +234,7 @@ class _Coverage(OracleFunction):
                 self.domain, self._powers[self.domain._level_slots], np.multiply, 1.0)
             # miss factors in [0, 1] keep each region's term within its |w_j|
             in_unit = all(((0.0 <= a) & (a <= 1.0)).all() for a in (self._powers, factors))
-            self._sweep_finite = in_unit and _bounded(sum(np.abs(self._weights).tolist()))
+            self._sweep_bound = sum(np.abs(self._weights).tolist()) if in_unit else math.inf
             self._sweep_factors = factors
         return _CoverageSweep(self)
 
@@ -247,14 +246,13 @@ class _CoverageSweep(_Sweep):
     a-row's factors after coordinate i are 1.0, so missed * (1 - p_i)^l is
     its product bit for bit.  A b-row's product takes the later coordinates'
     top factors as one suffix product, which may round differently in the
-    last bit.  When every miss factor lies in [0, 1] and the weights' total
-    magnitude is bounded, every row is finite by construction.
+    last bit.  When every miss factor lies in [0, 1], the weights' total
+    magnitude bounds every row.
     """
 
     def __init__(self, f: _Coverage):
-        super().__init__(f)
+        super().__init__(f, f._sweep_bound)
         self.missed = np.ones(f._powers.shape[1])
-        self.finite = f._sweep_finite
 
     def choose(self, level: int):
         f = self.f

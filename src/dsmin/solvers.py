@@ -202,20 +202,12 @@ class SfmResult:
     duality_info: Optional[dict] = None
 
 
-def _round_profile(f: OracleFunction, profile: Profile):
-    """Best lattice point among the threshold roundings of ``profile``.
+def _round_and_extend(f: OracleFunction, profile: Profile):
+    """The best threshold rounding of ``profile``, its value, and the extension value there.
 
     Evaluates x(t) at every distinct breakpoint t, in one batch; the best of
     these never exceeds the extension value at profile, because the extension
     is an average of exactly these points.  Ties go to the smallest point.
-    """
-    point, value, _ = _round_and_extend(f, profile)
-    return point, value
-
-
-def _round_and_extend(f: OracleFunction, profile: Profile):
-    """_round_profile's point and value, plus the extension value at ``profile``.
-
     x(t) equals x(t_k) for t in (t_{k-1}, t_k] between consecutive
     breakpoints (t_0 = 0), so the extension is the sum of those interval
     lengths times the values; no further oracle calls are made.
@@ -333,10 +325,14 @@ def _pav_levels(domain: LatticeDomain, u: np.ndarray) -> np.ndarray:
 
 
 def _rounding_profile(domain: LatticeDomain, rho: np.ndarray) -> Profile:
-    """rho / max(rho), clamped at 0: its breakpoints are the positive levels of rho."""
+    """rho / max(rho), clamped at 0: its breakpoints are the positive levels of rho.
+
+    rho is non-increasing along each coordinate already (``_pav_levels``), so
+    clamping to [0, 1] is its projection.
+    """
     top = float(rho.max())
     scaled = rho / top if top > 0.0 else rho
-    return project_profile(Profile(domain, _split_levels(domain, scaled), validate=False))
+    return Profile(domain, _split_levels(domain, np.clip(scaled, 0.0, 1.0)), validate=False)
 
 
 def _add_atom(atoms, greedy, weights, atom, is_greedy: bool):

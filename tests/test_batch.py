@@ -459,6 +459,37 @@ def test_a_coverage_sweep_proves_its_rows_finite_only_with_bounded_weights():
         sweep.rows()
 
 
+def test_a_composite_of_proven_leaves_checks_no_row(monkeypatch):
+    """g - s and view - s add their parents' bounds, a coverage g's and a
+    separable s's, so their sweeps check no row.  1e300 * (g - s) multiplies
+    that bound by 1e300, which proves nothing: the composite checks each
+    coordinate's rows, and refuses the rows it scales to inf."""
+    problem = _coverage_g([3, 4, 2], 7)
+    dom = problem.domain
+    s = d.SeparableFunction(dom, 0.5, [np.full(k - 1, 0.25) for k in dom.sizes])
+    checks = []
+    finite = d.lattice._finite
+    monkeypatch.setattr(d.lattice, "_finite", lambda v: checks.append(len(v)) or finite(v))
+
+    def sweep_all(top):
+        sweep = top._sweep()
+        for level in (1, 2, 0):
+            sweep.rows()
+            sweep.choose(level)
+        return sweep
+
+    for top in (problem.g - s, d.lattice._RememberedRows(problem.g) - s):
+        assert sweep_all(top).finite
+    assert checks == []
+    assert not sweep_all(1e300 * (problem.g - s)).finite
+    assert checks == [2 * (k - 1) for k in dom.sizes]
+    overflowing = 1e300 * (problem.g - 1e9 * s)  # 1e9 * s is separable, bounded by 2e9
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=re.escape(f"{overflowing!r} returned -inf at point (1, 0, 0)")):
+        overflowing._sweep().rows()
+    assert checks[3:] == [4]
+
+
 def _paths(sizes, seed):
     """Three level paths; the second and third share a random prefix with the first."""
     rng = np.random.default_rng(seed)
@@ -638,7 +669,7 @@ def test_round_profile_matches_reference(sizes, seed, digits):
         levels = [np.round(np.sort(rng.uniform(size=k - 1))[::-1], digits) for k in sizes]
         profile = d.Profile(problem.domain, levels)
         ref = _counted(f)
-        assert d.solvers._round_profile(f, profile) == _ref_round_profile(ref, profile)
+        assert d.solvers._round_and_extend(f, profile)[:2] == _ref_round_profile(ref, profile)
         assert f.call_count == ref.call_count
 
 
