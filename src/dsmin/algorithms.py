@@ -21,7 +21,10 @@ last only once per solve: the stored point and value are proposed again, so
 only call counters and times differ from solving it afresh.  Within one
 supsub solve, double greedy's rows of g are also remembered by the levels
 chosen before them, and read again instead of evaluated; this too moves only
-g's call counter and times.
+g's call counter and times.  Within one modmod or subsup solve, the last
+chain's points and values of g are kept, and a new chain evaluates g only on
+the rows between its common prefix and its common suffix with the last
+chain: again only g's call counter and times move.
 
 When an iteration produces no accepted move, the current point is certified
 by checking all 2n unit neighbours (the condition the O(n) adjacent-chain
@@ -43,7 +46,8 @@ import numpy as np
 
 from .lattice import (CapExceededError, LatticeDomain, OracleFunction, SeparableFunction,
                       _RememberedRows)
-from .extension import Chain, _chain_containing, adjacent_chain_family, chain_lower_bound
+from .extension import (Chain, _chain_containing, _require_on_chain, _separable_along,
+                        adjacent_chain_family)
 from .bounds import dr_violation, separable_upper_bound
 from .decompose import DsProblem, monotone_form
 from .solvers import (
@@ -249,6 +253,42 @@ def _solve_once(solver: Callable) -> Callable:
     return solve
 
 
+def _chain_bounds(g: OracleFunction) -> Callable:
+    """``chain_lower_bound`` of g at (x, chain), evaluating only the rows the last chain lacks.
+
+    A chain through y, canonical or randomized, raises coordinates up to y,
+    then up to k_max.  So the rows before the first coordinate where two
+    anchors differ, and the rows after the last one, are the same points at
+    the same positions in both chains.  g is fixed for a solve, so the
+    returned function keeps the last chain's points and values, finds the
+    first and the last row where a new chain differs from them (one
+    ``(r + 1, n)`` comparison), evaluates only the rows between them, in
+    one batch, and reads the others.  A value does not depend on its batch,
+    so the bound equals ``chain_lower_bound(g, x, chain)`` bit for bit, and
+    ``g.call_count`` counts only the rows evaluated.  A refused row raises
+    before the kept chain is replaced, so it is never kept.  The memo lives
+    as long as the returned function, one solve.
+    """
+    last_points = last_values = None
+
+    def bound(x: tuple, chain: Chain) -> SeparableFunction:
+        nonlocal last_points, last_values
+        _require_on_chain(chain, x)
+        points = chain.point_array()
+        if last_points is None:
+            values = g._batch(points)
+        else:
+            values = last_values.copy()
+            differ = np.flatnonzero((points != last_points).any(axis=1))
+            if differ.size:
+                rows = slice(differ[0], differ[-1] + 1)
+                values[rows] = g._batch(points[rows])
+        last_points, last_values = points, values
+        return _separable_along(g.domain, chain._incs, values)
+
+    return bound
+
+
 def _run_loop(p: DsProblem, opts: SolveOptions, propose: Callable) -> SolveReport:
     d = p.domain
     rng = random.Random(opts.seed)
@@ -323,15 +363,20 @@ def _run_loop(p: DsProblem, opts: SolveOptions, propose: Callable) -> SolveRepor
 
 
 def subsup(p: DsProblem, opts: Optional[SolveOptions] = None) -> SolveReport:
-    """MM with the chain lower bound on g; inner solves are submodular minimisations."""
+    """MM with the chain lower bound on g; inner solves are submodular minimisations.
+
+    g is fixed for the solve, so each chain evaluates g only on the rows it
+    does not share, as a common prefix or suffix, with the last chain; the
+    others are read from the last chain's values (``_chain_bounds``).
+    """
     opts = opts or SolveOptions(algorithm="subsup")
     if opts.algorithm != "subsup":
         raise ValueError(f"options specify {opts.algorithm!r}")
+    bound_g = _chain_bounds(p.g)
 
     def propose(x, rng):
         chain = _chain_containing(p.domain, x, opts.chain_mode, rng=rng)
-        h_g = chain_lower_bound(p.g, x, chain)
-        inner = p.f - h_g
+        inner = p.f - bound_g(x, chain)
         res = minimize_submodular(inner, method=opts.sfm_method,
                                   options=opts.sfm_options, cap=opts.cap)
         yield res.minimizer, res.value, "subsup"
@@ -371,7 +416,10 @@ def modmod(p: DsProblem, opts: Optional[SolveOptions] = None) -> SolveReport:
     """MM with both bounds; the separable surrogate is minimised exactly.
 
     The surrogate is ub - h_g.  One equal bit for bit to the last one solved
-    is not minimised again: its point and value are proposed once more.
+    is not minimised again: its point and value are proposed once more.  As
+    in subsup, the chain bound h_g evaluates g only on the rows the chain
+    does not share, as a common prefix or suffix, with the last chain of the
+    solve (``_chain_bounds``).
     """
     opts = opts or SolveOptions(algorithm="modmod")
     if opts.algorithm != "modmod":
@@ -382,10 +430,11 @@ def modmod(p: DsProblem, opts: Optional[SolveOptions] = None) -> SolveReport:
             lambda s: minimize_separable_cardinality(s, p.domain, opts.budget))
     else:
         minimize = _solve_once(minimize_separable)
+    bound_g = _chain_bounds(p.g)
 
     def propose(x, rng):
         chain = _chain_containing(p.domain, x, opts.chain_mode, rng=rng)
-        h_g = chain_lower_bound(p.g, x, chain)
+        h_g = bound_g(x, chain)
         for variant in _variants(opts.ub_policy):
             cand, val = minimize(separable_upper_bound(p.f, coeff, x, variant) - h_g)
             yield cand, val, f"modmod:{variant}"

@@ -119,9 +119,10 @@ def dr_upper_bound(h: OracleFunction, x, variant: str = "grow1") -> SeparableFun
     DR-submodular; the bound property fails otherwise.  Every point the
     variant needs is evaluated in one batch: h(x), then h(0) for grow1 or
     h(k_max) for grow2, then the point (B, i -> L) of each level off the
-    anchor.  (B, i -> R) is B itself where B is one of those shared points;
-    elsewhere (tight1 above the anchor, tight2 below it) it is evaluated
-    last, one per level.
+    anchor.  (B, i -> R) is B itself where B is one of those shared points.
+    Elsewhere (tight1 above the anchor, tight2 below it) R is x_i, so the
+    point depends only on the coordinate: it is evaluated last, once per
+    coordinate with such a level, and read by each of its levels.
     """
     if variant not in UB_VARIANTS:
         raise ValueError(f"variant must be one of {UB_VARIANTS}, got {variant!r}")
@@ -139,19 +140,23 @@ def dr_upper_bound(h: OracleFunction, x, variant: str = "grow1") -> SeparableFun
     shared = [anchor] + ([zero] if variant == "grow1" else [top] if variant == "grow2" else [])
     own = ~below if variant == "tight1" else below if variant == "tight2" else np.zeros_like(below)
 
-    def with_level(levels, rows):
-        """Each row's base with coordinate coord[r] set to levels[r], for the rows r in rows."""
-        points = np.where(below[rows, None], low, high)
-        points[np.arange(points.shape[0]), coord[rows]] = levels[rows]
-        return points
+    points_L = np.where(below[:, None], low, high)
+    points_L[np.arange(coord.size), coord] = L
+    # the own rows' R point (B, i -> x_i), with B = 0 for tight1 and k_max for tight2;
+    # not np.unique, whose first call costs over 1 MB of resident memory
+    has_own = np.zeros(d.n, dtype=bool)
+    has_own[coord[own]] = True
+    own_coords = np.flatnonzero(has_own)
+    points_R = np.repeat((zero if variant == "tight1" else top)[None], own_coords.size, axis=0)
+    points_R[np.arange(own_coords.size), own_coords] = anchor[own_coords]
 
-    values = h._batch(np.vstack(shared + [with_level(L, slice(None)), with_level(R, own)]))
+    values = h._batch(np.vstack(shared + [points_L, points_R]))
     hx, ref = values[0], values[len(shared) - 1]
     h_L = values[len(shared):len(shared) + coord.size]
     # h(B, i -> R) is h(B) where B is shared; ref is h(0), h(k_max) or h(x)
     h_low, h_high = (hx, ref) if low is anchor else (ref, hx)
     h_R = np.where(below, h_low, h_high)
-    h_R[own] = values[len(shared) + coord.size:]
+    h_R[own] = values[len(shared) + coord.size:][np.searchsorted(own_coords, coord[own])]
 
     phi = np.zeros(sum(d.sizes))
     phi[off] = h_L - h_R

@@ -161,11 +161,9 @@ def greedy_extension(f: OracleFunction, profile: Profile):
 
     walk = coords[order]
     values = f._batch(_walk(d, walk))
-    gains = np.diff(values)
     # accumulated in walk order, one entry at a time
-    value = np.cumsum(np.concatenate((values[:1], weights[order] * gains)))[-1]
-    return float(value), SeparableFunction._of_increments(d, float(values[0]),
-                                                         _walk_increments(walk, gains))
+    value = np.cumsum(np.concatenate((values[:1], weights[order] * np.diff(values))))[-1]
+    return float(value), _separable_along(d, walk, values)
 
 
 def _walk(domain: LatticeDomain, increments: np.ndarray) -> np.ndarray:
@@ -180,9 +178,15 @@ def _split_levels(domain: LatticeDomain, flat: np.ndarray) -> List[np.ndarray]:
     return np.split(flat, domain._increment_offsets[1:])
 
 
-def _walk_increments(increments: np.ndarray, gains: np.ndarray) -> np.ndarray:
-    """A walk's gains in (coordinate, level) order: the j-th raise of coordinate i reaches level j."""
-    return gains[np.argsort(increments, kind="stable")]
+def _separable_along(domain: LatticeDomain, increments: np.ndarray,
+                     values: np.ndarray) -> SeparableFunction:
+    """The separable function equal to ``values`` along the walk from 0 raising ``increments``.
+
+    Its constant is values[0]; the j-th raise of coordinate i reaches level j,
+    so that level's increment is the gain of that step.
+    """
+    gains = np.diff(values)[np.argsort(increments, kind="stable")]
+    return SeparableFunction._of_increments(domain, float(values[0]), gains)
 
 
 class Chain:
@@ -292,11 +296,14 @@ def chain_lower_bound(f: OracleFunction, y, chain: Chain) -> SeparableFunction:
     y = d.require(y)
     if chain.domain != d:
         raise ValueError("chain domain does not match the function domain")
+    _require_on_chain(chain, y)
+    return _separable_along(d, chain._incs, f._batch(chain.point_array()))
+
+
+def _require_on_chain(chain: Chain, y: tuple):
+    """Raise unless ``chain`` contains y, a domain point given as a tuple of ints."""
     if not chain._contains(y):
         raise ValueError(f"chain does not contain {y}; the bound would not be tight there")
-    values = f._batch(chain.point_array())
-    return SeparableFunction._of_increments(d, float(values[0]),
-                                            _walk_increments(chain._incs, np.diff(values)))
 
 
 def adjacent_chain_family(domain: LatticeDomain, y) -> List[Chain]:

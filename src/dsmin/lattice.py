@@ -198,7 +198,9 @@ class OracleFunction:
 
     Give ``batch_fn``, ``fn`` or both; ``batch_fn`` is used when both are.
     ``batch_fn`` takes an ``(m, n)`` int64 array, already validated, and
-    returns ``m`` floats.  ``fn`` takes a tuple of ints; without
+    returns ``m`` floats, and must give a row the same value in any batch:
+    the MM loops read a chain row evaluated in one batch in place of
+    evaluating it in another.  ``fn`` takes a tuple of ints; without
     ``batch_fn``, a batch calls it once per row.
     """
 

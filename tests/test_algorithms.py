@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 
 import numpy as np
 import pytest
@@ -308,10 +309,11 @@ def _coverage_problems():
 
 def _counted_solve(monkeypatch, p, opts, memo=True):
     """The report, the inner solver runs, the (f, g) calls of one solve and
-    the rows of g that supsub's row memo served instead of evaluating them.
+    the rows of g that supsub's row memo or the chain memo of modmod and
+    subsup served instead of evaluating them.
 
-    ``memo=False`` patches off both memos: the repeated-surrogate memo and
-    the row memo."""
+    ``memo=False`` patches off all three memos: the repeated-surrogate memo,
+    the row memo and the chain memo."""
     runs, served = [], []
     with monkeypatch.context() as m:
         for name in INNER_SOLVERS:
@@ -327,9 +329,22 @@ def _counted_solve(monkeypatch, p, opts, memo=True):
                 served.append(rows.stop - rows.start)
             return values
         m.setattr(d.lattice._RememberedSweep, "_raw", raw)
+
+        def chain_bounds(g, _real=d.algorithms._chain_bounds):
+            bound = _real(g)
+
+            def counted(x, chain):
+                before = g.call_count
+                h_g = bound(x, chain)
+                served.append(chain.length + 1 - (g.call_count - before))
+                return h_g
+            return counted
+        m.setattr(d.algorithms, "_chain_bounds", chain_bounds)
         if not memo:
             m.setattr(d.algorithms, "_solve_once", lambda solver: solver)
             m.setattr(d.algorithms, "_RememberedRows", lambda g: g)
+            m.setattr(d.algorithms, "_chain_bounds",
+                      lambda g: lambda x, chain: d.chain_lower_bound(g, x, chain))
         f0, g0 = p.f.call_count, p.g.call_count
         report = d.solve(p, opts)
     return report, len(runs), (p.f.call_count - f0, p.g.call_count - g0), sum(served)
@@ -346,9 +361,10 @@ def _trajectory(report):
 class TestRepeatedSurrogates:
     @pytest.mark.parametrize("algorithm,budget,policy", MEMO_CASES)
     def test_only_counters_move(self, monkeypatch, algorithm, budget, policy):
-        """With both memos patched off, the same run.  supsub's g counter drops
+        """With the memos patched off, the same run.  supsub's g counter drops
         by exactly the rows the row memo served plus the skipped double greedy
-        runs' 2 + 2 * sum(k_i - 1) calls; modmod's does not move."""
+        runs' 2 + 2 * sum(k_i - 1) calls; modmod's by exactly the chain rows
+        the chain memo served."""
         skipped_total = served_total = 0
         for p in _coverage_problems():
             opts = d.SolveOptions(algorithm=algorithm, budget=budget, ub_policy=policy)
@@ -363,12 +379,12 @@ class TestRepeatedSurrogates:
             assert [e.calls_f for e in on.events] == [e.calls_f for e in off.events]
             saved = [b.calls_g - a.calls_g for a, b in zip(on.events, off.events)]
             assert saved == sorted(saved)
-            # runs after the last event (whose candidate was x) save calls too
-            assert saved[-1] <= served + per_run * skipped if per_run else not any(saved)
+            # runs and chains after the last event (whose candidate was x) save calls too
+            assert saved[-1] <= served + per_run * skipped
             skipped_total += skipped
             served_total += served
         assert skipped_total > 0  # the ensemble does repeat surrogates
-        assert (served_total > 0) == (algorithm == "supsub")  # and supsub repeats g's rows
+        assert served_total > 0  # and g's rows: supsub's sweeps, modmod's chains
 
     def test_double_greedy_runs_once_at_zero_for_a_separable_f(self, monkeypatch):
         """grow1 and grow2 give one bound at x = 0; its candidate 0 moves nowhere."""
@@ -408,3 +424,118 @@ class TestRepeatedSurrogates:
             assert first[1:] == second[1:]
             assert [(e.calls_f, e.calls_g) for e in first[0].events] == \
                 [(e.calls_f, e.calls_g) for e in second[0].events]
+
+
+# ---------------------------------------------------------------------------
+# modmod and subsup evaluate only the chain rows the last chain lacks
+# ---------------------------------------------------------------------------
+
+CHAIN_CASES = [(algorithm, budget, mode)
+               for algorithm, budget in (("modmod", None), ("modmod", 3), ("subsup", None))
+               for mode in ("canonical", "randomized")]
+
+
+def _poisoned(g, point, times=math.inf):
+    """g, but inf at ``point`` for its first ``times`` evaluations there."""
+    left = [times]
+
+    def batch_fn(X):
+        values = g._values(X)
+        hit = (X == point).all(axis=1)
+        if hit.any() and left[0] > 0:
+            left[0] -= 1
+            values[hit] = math.inf
+        return values
+    return d.OracleFunction(g.domain, batch_fn=batch_fn)
+
+
+class TestChainMemo:
+    @pytest.mark.parametrize("algorithm,budget,mode", CHAIN_CASES)
+    def test_memo_on_and_off_give_the_same_run(self, monkeypatch, algorithm, budget, mode):
+        """The same trajectory and f calls; g's counter drops by exactly the chain
+        rows the memo served."""
+        served_total = 0
+        for p in _coverage_problems():
+            opts = d.SolveOptions(algorithm=algorithm, budget=budget, chain_mode=mode, seed=5)
+            on, _, calls_on, served = _counted_solve(monkeypatch, p, opts)
+            off, _, calls_off, _ = _counted_solve(monkeypatch, p, opts, memo=False)
+            assert _trajectory(on) == _trajectory(off)
+            # modmod's and subsup's other memos save no calls of f or g
+            assert calls_off == (calls_on[0], calls_on[1] + served)
+            served_total += served
+        assert served_total > 0
+
+    @pytest.mark.parametrize("algorithm", ["modmod", "subsup"])
+    def test_a_refused_row_raises_as_without_the_memo(self, monkeypatch, algorithm):
+        """g is inf only at a point the second chain reaches first: the same
+        ValueError, naming that point, with the memo on and off."""
+        opts = d.SolveOptions(algorithm=algorithm)
+        for p in _coverage_problems():
+            report = d.solve(p, opts)
+            # g is evaluated at the events and the first chain before the second chain
+            if len(report.iterates) < 2 or report.iterates[1].label == "descending_neighbor":
+                continue
+            seen = {e.point for e in report.events if e.t <= 1}
+            seen.update(d.chain_containing(p.domain, p.domain.zero).points)
+            second = d.chain_containing(p.domain, report.iterates[1].point).points
+            point = next((y for y in second if y not in seen), None)
+            if point is not None:
+                break
+        assert point is not None
+        bad = d.DsProblem(p.f, _poisoned(p.g, point))
+        messages = []
+        for memo in (True, False):
+            with pytest.raises(ValueError, match=f"at point {re.escape(str(point))}") as err:
+                _counted_solve(monkeypatch, bad, opts, memo=memo)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    def test_a_refused_row_is_not_kept(self):
+        """A chain whose batch is refused does not replace the kept chain, so
+        asking for it again evaluates the same rows again."""
+        p = _coverage_problems()[0]
+        dom = p.domain
+        x0, x1 = dom.zero, (1, 2, 0)
+        c0, c1 = (d.chain_containing(dom, x) for x in (x0, x1))
+        point = next(y for y in c1.points if y not in c0.points)
+        g = _poisoned(p.g, point, times=1)
+        bound = d.algorithms._chain_bounds(g)
+        bound(x0, c0)
+        before = g.call_count
+        with pytest.raises(ValueError, match="returned inf"):
+            bound(x1, c1)
+        refused = g.call_count - before
+        h = bound(x1, c1)
+        assert g.call_count - before == 2 * refused
+        ref = d.chain_lower_bound(p.g, x1, c1)
+        assert bits(h.constant) == bits(ref.constant)
+        assert h._increments.tobytes() == ref._increments.tobytes()
+
+    @pytest.mark.parametrize("mode", ["canonical", "randomized"])
+    def test_bounds_are_the_public_ones_bit_for_bit(self, mode):
+        """Along random anchors, each bound equals chain_lower_bound's bit for
+        bit and costs the rows outside the common prefix and suffix with the
+        last chain; chain_lower_bound itself costs r + 1 calls every time."""
+        p = _coverage_problems()[1]
+        dom, rng = p.domain, np.random.default_rng(3)
+        public = d.OracleFunction(dom, batch_fn=p.g._values)
+        bound = d.algorithms._chain_bounds(p.g)
+        last = None
+        for k in range(12):
+            x = tuple(rng.integers(0, dom.sizes).tolist())
+            chain = d.chain_containing(dom, x, mode=mode, seed=k)
+            rows = chain.point_array()
+            if last is None:
+                want = len(rows)
+            else:
+                same = (rows == last).all(axis=1)
+                want = 0 if same.all() else len(rows) - np.argmin(same) - np.argmin(same[::-1])
+            before, public_before = p.g.call_count, public.call_count
+            got, ref = bound(x, chain), d.chain_lower_bound(public, x, chain)
+            assert p.g.call_count - before == want
+            assert public.call_count - public_before == chain.length + 1
+            assert bits(got.constant) == bits(ref.constant)
+            assert got._increments.tobytes() == ref._increments.tobytes()
+            last = rows
+        with pytest.raises(ValueError, match="chain does not contain"):
+            bound((0, 0, 1), d.chain_containing(dom, (1, 0, 0)))

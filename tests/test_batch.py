@@ -294,12 +294,19 @@ def test_dr_upper_bound_matches_reference_and_call_count(sizes, seed, variant):
     constant, tables = _ref_dr_upper_bound(ref, x, variant)
     bound = d.dr_upper_bound(h, x, variant)
     _assert_separable(bound, constant, tables)
-    assert h.call_count == ref.call_count
+    # h(x), h(0) or h(k_max), one point per level off the anchor; tight1 and
+    # tight2 then evaluate their R point (B, i -> x_i) once per coordinate
+    # that has a level above (tight1) or below (tight2) the anchor
     off = sum(k - 1 for k in sizes)
-    above = sum(k - 1 - c for k, c in zip(sizes, x))
+    above = sum(c < k - 1 for k, c in zip(sizes, x))
+    below = sum(c > 0 for c in x)
     expected = {"grow1": 2 + off, "grow2": 2 + off,
-                "tight1": 1 + off + above, "tight2": 1 + off + sum(x)}[variant]
+                "tight1": 1 + off + above, "tight2": 1 + off + below}[variant]
     assert h.call_count == expected
+    # the reference evaluates tight1's and tight2's R point once per level
+    per_level = {"tight1": 1 + off + sum(k - 1 - c for k, c in zip(sizes, x)),
+                 "tight2": 1 + off + sum(x)}
+    assert ref.call_count == per_level.get(variant, expected)
 
 
 @settings(max_examples=30, deadline=None)
@@ -705,15 +712,28 @@ def test_loop_certificate_evaluates_only_the_neighbours(seed, budget):
 
     modmod with a separable f evaluates f only to record points and in the
     certificate, and g, after the last recorded point, only in the final
-    iteration's chain bound (sum(k_i - 1) + 1 calls) and in the certificate.
+    iteration's chain bound and in the certificate.  That chain is built at
+    the final point; it evaluates its sum(k_i - 1) + 1 rows less the common
+    prefix and suffix it shares with the previous iteration's chain, built
+    at the point accepted before.
     """
-    problem = _coverage_g((3, 4, 2, 3), seed)
+    sizes = (3, 4, 2, 3)
+    problem = _coverage_g(sizes, seed)
     coeff = d.dr_violation(problem.f)
     problem.f.reset_count()
     report = d.solve(problem, d.SolveOptions(algorithm="modmod", dr_coeff=coeff, budget=budget))
     assert report.status == "certified_local_min"
     cert, last = report.certificate, report.events[-1]
-    chain = 0 if last.t == report.iterates[-1].t + 1 else sum(k - 1 for k in (3, 4, 2, 3)) + 1
+    if last.t == report.iterates[-1].t + 1:
+        chain = 0  # the final chain was built before the last event
+    else:
+        rows = d.chain_containing(problem.domain, report.final_point).point_array()
+        chain = len(rows)
+        if len(report.iterates) > 1:
+            previous = d.chain_containing(problem.domain, report.iterates[-2].point)
+            same = (rows == previous.point_array()).all(axis=1)
+            # a chain through both points is shared whole
+            chain = 0 if same.all() else chain - np.argmin(same) - np.argmin(same[::-1])
     assert problem.f.call_count - last.calls_f == len(cert.neighbors)
     assert problem.g.call_count - last.calls_g == chain + len(cert.neighbors)
     assert bits(cert.value) == bits(report.iterates[-1].v)

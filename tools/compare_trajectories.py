@@ -13,7 +13,10 @@ Two trajectories are identical when their statuses, accepted points, every
 event's point, label, acceptance and the bits of v, f, g and surrogate, the
 certificate (point, value, neighbours, best descending neighbour) and the
 predicted bound agree.  Call counters (per event and per solve) and wall times
-are reported, not compared.  The exit status is 1 when any trajectory differs.
+are not compared; the calls of f and g are reported as old -> new totals per
+workload and per solve label (modmod, supsub, modmod_budget, ...), so a
+change to the counts shows which solves moved.  The exit status is 1 when any
+trajectory differs.
 
     python3 tools/compare_trajectories.py --golden tests/data/trajectories.json
 
@@ -119,7 +122,9 @@ def compare(old: list, new: list) -> dict:
     differing = []
     events = defaultdict(int)
     moved = defaultdict(int)
+    # [old, new] call totals per workload and per solve label
     calls = {c: defaultdict(lambda: [0, 0]) for c in COUNTERS}
+    by_solve = {c: defaultdict(lambda: [0, 0]) for c in COUNTERS}
     for a, b in zip(old, new):
         w = a["workload"]
         if _without_counters(a) != _without_counters(b):
@@ -128,8 +133,9 @@ def compare(old: list, new: list) -> dict:
         moved[w] += sum(any(ea[c] != eb[c] for c in COUNTERS)
                         for ea, eb in zip(a["events"], b["events"]))
         for c in COUNTERS:
-            calls[c][w][0] += a[c]
-            calls[c][w][1] += b[c]
+            for total in (calls[c][w], by_solve[c][a["solve"]]):
+                total[0] += a[c]
+                total[1] += b[c]
     return {
         "solves": len(old),
         "identical": "statuses, accepted points, every event's point, label, acceptance and "
@@ -138,7 +144,8 @@ def compare(old: list, new: list) -> dict:
         "differing_solves": differing,
         "events": dict(events),
         "events_with_moved_counters": dict(moved),
-        **{f"{c}_old_new": {w: v for w, v in calls[c].items()} for c in COUNTERS},
+        **{f"{c}_old_new": dict(calls[c]) for c in COUNTERS},
+        **{f"{c}_old_new_by_solve": dict(by_solve[c]) for c in COUNTERS},
     }
 
 
