@@ -21,10 +21,13 @@ last only once per solve: the stored point and value are proposed again, so
 only call counters and times differ from solving it afresh.  Within one
 supsub solve, double greedy's rows of g are also remembered by the levels
 chosen before them, and read again instead of evaluated; this too moves only
-g's call counter and times.  Within one modmod or subsup solve, the last
-chain's points and values of g are kept, and a new chain evaluates g only on
-the rows between its common prefix and its common suffix with the last
-chain: again only g's call counter and times move.
+g's call counter and times.  supsub's double greedy subtracts the rows of its
+separable bound, read from the bound's tables, from g's rows as floats, bit
+for bit what the composite g - m_f would give, without building it.  Within
+one modmod or subsup solve, the last chain's points and values of g are
+kept, and a new chain evaluates g only on the rows between its common prefix
+and its common suffix with the last chain: again only g's call counter and
+times move.
 
 When an iteration produces no accepted move, the current point is certified
 by checking all 2n unit neighbours (the condition the O(n) adjacent-chain
@@ -387,22 +390,28 @@ def subsup(p: DsProblem, opts: Optional[SolveOptions] = None) -> SolveReport:
 def supsub(p: DsProblem, opts: Optional[SolveOptions] = None) -> SolveReport:
     """MM with the separable upper bound on f; inner solves are double greedy.
 
-    The inner problem is max g - m_f over the bound m_f.  A bound equal bit
-    for bit to the last one solved is not solved again: its point and value
-    are proposed once more, without double greedy's calls of g.  g is fixed
-    for the solve, and a double greedy row of g depends only on the levels
-    chosen before it, so the runs of one solve share g's rows: a row an
-    earlier run evaluated at the same chosen levels is read, not evaluated
-    again (``lattice._RememberedRows``).  A separable g needs no such memo:
-    g - m_f is one separable function.
+    The inner problem is max g - m_f over the bound m_f, solved by
+    ``double_greedy_maximize(g, m_f)``: g's rows less m_f's, which are read
+    from m_f's prefix tables, never by calling m_f, and no composite
+    g - m_f is built.  A bound equal bit for bit to the last one solved is
+    not solved again: its point and value are proposed once more, without
+    double greedy's calls of g.  g is fixed for the solve, and a double
+    greedy row of g depends only on the levels chosen before it, so the
+    runs of one solve share g's rows: a row an earlier run evaluated at the
+    same chosen levels is read, not evaluated again
+    (``lattice._RememberedRows``).  A separable g needs no such memo:
+    ``double_greedy_maximize(g - m_f)`` runs on one separable function.
     """
     opts = opts or SolveOptions(algorithm="supsub")
     if opts.algorithm != "supsub":
         raise ValueError(f"options specify {opts.algorithm!r}")
     coeff = _resolve_dr_coeff(p.f, opts)
     # g is fixed for the solve, so a repeated bound m_f repeats the inner problem
-    g = p.g if isinstance(p.g, SeparableFunction) else _RememberedRows(p.g)
-    maximize = _solve_once(lambda m_f: double_greedy_maximize(g - m_f))
+    if isinstance(p.g, SeparableFunction):
+        maximize = _solve_once(lambda m_f: double_greedy_maximize(p.g - m_f))
+    else:
+        g = _RememberedRows(p.g)
+        maximize = _solve_once(lambda m_f: double_greedy_maximize(g, m_f))
 
     def propose(x, rng):
         for variant in _variants(opts.ub_policy):

@@ -86,9 +86,12 @@ class Profile:
 
     def breakpoints(self) -> np.ndarray:
         """Distinct entry values in (0, 1], plus 1.0, ascending."""
-        vals = np.concatenate(self.levels + [np.ones(1)])
-        vals = np.unique(vals)
-        return vals[vals > 0.0]
+        # a sort and a mask of the first of each run of equal values: np.unique
+        # would do the same, but its first call in a process costs about 1 MB
+        vals = np.sort(np.concatenate(self.levels + [np.ones(1)]))
+        keep = vals > 0.0
+        keep[1:] &= vals[1:] != vals[:-1]
+        return vals[keep]
 
     def copy(self):
         return Profile(self.domain, [v.copy() for v in self.levels], validate=False)

@@ -460,17 +460,19 @@ class _RememberedRows(OracleFunction):
 
     A sweep row of g at coordinate i depends only on the chosen levels c_<i,
     so the double greedy runs of g - m_1, g - m_2, ... ask g again for rows
-    they have had.  The view keeps each coordinate's rows, the arrays g's own
-    sweep computed, in a trie keyed by the chosen levels.  A sweep through the
-    view reads a remembered coordinate and evaluates nothing below it; at a
-    prefix not seen yet it catches g's own sweep up with the chosen levels
-    and keeps the rows that sweep returns, checked as without the view.  A
-    refused row is not kept.  The view's sweep takes the bound of g's own,
-    for a composite above it.  So ``g.call_count`` counts the rows
-    evaluated, while a composite above the view counts every row it
-    combines.  A batch is g's batch: only sweeps read the remembered rows,
-    since a b-row may differ from the batch value in the last bit.  The memo
-    lives as long as the view.
+    they have had.  supsub runs them as ``double_greedy_maximize(view, m)``,
+    which reads the view's rows and subtracts m's.  The view keeps each
+    coordinate's rows, the arrays g's own sweep computed, in a trie keyed by
+    the chosen levels.  A sweep through the view reads a remembered
+    coordinate and evaluates nothing below it; at a prefix not seen yet it
+    catches g's own sweep up with the chosen levels and keeps the rows that
+    sweep returns, checked as without the view.  A refused row is not kept.
+    The view's sweep takes the bound of g's own, for a composite above it or
+    for double greedy's check of g - m.  So ``g.call_count`` counts the rows
+    evaluated, while a composite above the view (``view - m``) counts every
+    row it combines.  A batch is g's batch: only sweeps read the
+    remembered rows, since a b-row may differ from the batch value in the
+    last bit.  The memo lives as long as the view.
     """
 
     def __init__(self, g: OracleFunction):
@@ -716,9 +718,18 @@ class _SeparableSweep(_Sweep):
         self.total += float(f._flat_prefixes[f.domain._level_offsets[len(self.chosen)] + level])
         super().choose(level)
 
-    def _values(self, rows: slice) -> np.ndarray:
+    def floats(self, rows: slice) -> list:
+        """The values at ``rows`` as Python floats, neither counted nor checked.
+
+        Python floats add as IEEE doubles, as numpy's elementwise ops do, so
+        these are the rows of ``_values`` bit for bit.
+        """
+        constant, total = self.f.constant, self.total
         zeros_after = 0.0 if rows.stop < self.terms.size else -0.0  # none after the last coordinate
-        return self.f.constant + ((self.total + self.terms[rows]) + zeros_after)
+        return [constant + ((total + term) + zeros_after) for term in self.terms[rows].tolist()]
+
+    def _values(self, rows: slice) -> np.ndarray:
+        return np.array(self.floats(rows))
 
 
 def constant_function(domain: LatticeDomain, c: float) -> SeparableFunction:

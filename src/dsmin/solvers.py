@@ -16,7 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .extension import Profile, _split_levels, greedy_extension
-from .lattice import LatticeDomain, OracleFunction, SeparableFunction, _Tabulation
+from .lattice import (LatticeDomain, OracleFunction, SeparableFunction, _bounded, _same_domain,
+                      _Tabulation)
 
 
 def minimize_separable(s: SeparableFunction, domain: Optional[LatticeDomain] = None):
@@ -39,6 +40,15 @@ def minimize_separable_cardinality(s: SeparableFunction, domain: Optional[Lattic
     Dynamic program over (coordinate, remaining budget); ties resolve to the
     lexicographically smallest point.  A budget >= sum_i (k_i - 1) reduces to
     the unconstrained scan.
+
+    A coordinate whose prefix curve is >= 0 at every level stays at level 0
+    and takes no step of the program.  That is exact: the best sum of the
+    later coordinates does not increase with the budget, and rounding is
+    monotone, so level 0 ties or beats every other level at every budget and
+    is the lowest; and 0.0 + best is best bit for bit, as best is never
+    -0.0.  A curve holding NaN or -inf is never skipped.  Nothing is skipped
+    when the lowest levels of the other curves could sum to -inf, where a
+    skipped curve's +inf (a level, or the grid's padding) would meet -inf.
     """
     d = domain or s.domain
     if d != s.domain:
@@ -48,53 +58,72 @@ def minimize_separable_cardinality(s: SeparableFunction, domain: Optional[Lattic
         raise ValueError(f"budget must be >= 0, got {budget}")
     b_cap = min(budget, d._rises.size)
 
-    # One min-plus step per coordinate, from the last: with best[b] the minimum
-    # over x_{i+1}.. of their prefix sums under sum <= b, totals[b, l] is that
-    # for budget b - l plus coordinate i's prefix at level l.  A level above
-    # the top or the budget meets +inf, from the padding of the prefix grid or
-    # from best[b_cap + 1].  argmin takes the lowest minimising level.
     grid = s._prefix_grid
+    lows = grid.min(axis=1)  # NaN where a curve holds one
+    kept = np.flatnonzero(~(lows >= 0.0))
+    if not _bounded(-sum(lows[kept].tolist())):
+        kept = np.arange(d.n)
+    grid = grid[kept]
+
+    # One min-plus step per kept coordinate, from the last: with best[b] the
+    # minimum over the later ones of their prefix sums under sum <= b,
+    # totals[b, l] is that for budget b - l plus this coordinate's prefix at
+    # level l.  A level above the top or the budget meets +inf, from the
+    # padding of the prefix grid or from best[b_cap + 1].  argmin takes the
+    # lowest minimising level.
     left = np.arange(b_cap + 1)[:, None] - np.arange(grid.shape[1])[None, :]
     left[left < 0] = b_cap + 1
     rows = np.arange(b_cap + 1)
     best = np.zeros(b_cap + 2)
     best[-1] = np.inf
-    choice = np.empty((d.n, b_cap + 1), dtype=np.int64)
-    for i in range(d.n - 1, -1, -1):
-        totals = grid[i] + best[left]
-        choice[i] = totals.argmin(axis=1)
-        best[:-1] = totals[rows, choice[i]]
+    choice = np.empty((kept.size, b_cap + 1), dtype=np.int64)
+    for j in range(kept.size - 1, -1, -1):
+        totals = grid[j] + best[left]
+        choice[j] = totals.argmin(axis=1)
+        best[:-1] = totals[rows, choice[j]]
 
     # the lowest level first, coordinate by coordinate: the lexicographically smallest minimiser
-    point = []
+    point = [0] * d.n
     b = b_cap
-    for i in range(d.n):
-        point.append(int(choice[i, b]))
-        b -= point[-1]
+    for i, levels in zip(kept.tolist(), choice.tolist()):
+        point[i] = levels[b]
+        b -= levels[b]
     return tuple(point), float(s.constant + best[b_cap])
 
 
-def double_greedy_maximize(g: OracleFunction):
-    """Deterministic double greedy for lattice submodular maximisation.
+def double_greedy_maximize(g: OracleFunction, m: Optional[SeparableFunction] = None):
+    """Deterministic double greedy for lattice submodular maximisation of g - m.
 
-    Maintains a <= b with a = 0 and b = k_max initially.  For each
-    coordinate in index order, every level between a_i and b_i is scored
-    twice: as a raise of a (gain g(a with a_i -> level) - g(a)) and as a
-    lowering of b (gain g(b with b_i -> level) - g(b)).  The better of the
-    two best gains wins (both are >= 0 since staying put scores 0); on a
-    tie the raise of a wins.  Ties among levels resolve to the lowest tied
-    level on both sides: the one closest to a_i when raising a, but the one
-    farthest from b_i when lowering b.  Both points then agree on the
-    coordinate.
+    ``m`` is an optional separable function; without it the objective h is
+    g, with it h = g - m.  Maintains a <= b with a = 0 and b = k_max
+    initially.  For each coordinate in index order, every level between a_i
+    and b_i is scored twice: as a raise of a (gain h(a with a_i -> level) -
+    h(a)) and as a lowering of b (gain h(b with b_i -> level) - h(b)).  The
+    better of the two best gains wins (both are >= 0 since staying put
+    scores 0); on a tie the raise of a wins.  Ties among levels resolve to
+    the lowest tied level on both sides: the one closest to a_i when raising
+    a, but the one farthest from b_i when lowering b.  Both points then
+    agree on the coordinate.
 
     Each point is evaluated once: g(a) and g(b) at the start, then the
     2(k_i - 1) level rows of each coordinate, from g's sweep (see
     ``lattice._Sweep``).  The new a and b are rows of the sweep or
     unchanged, so their values are carried forward, and the returned value
-    is the carried g(a).  That is exactly 2 + 2 * sum_i (k_i - 1) oracle
-    calls.  supsub passes g - m_f over a view of its g that remembers g's
-    rows across the runs of one solve (``lattice._RememberedRows``): the
-    composite still counts every row, while g counts only those evaluated.
+    is the carried h(a).  That is exactly 2 + 2 * sum_i (k_i - 1) calls of
+    g.  m is never called: its values are read from its prefix tables, its
+    rows by ``lattice._SeparableSweep.floats``, and subtracted from g's as
+    Python floats, which round as the composite's numpy arrays do.  So
+    ``double_greedy_maximize(g, m)`` returns ``double_greedy_maximize(g - m)``
+    bit for bit, with the same calls of g.  supsub passes its bound m_f so,
+    with a view of its g that remembers g's rows across the runs of one
+    solve (``lattice._RememberedRows``): g counts only the rows evaluated.
+
+    g's rows are checked as g's own sweep checks them, so a non-finite value
+    of g is refused by g before anything is subtracted.  The values of g - m
+    are checked as the composite checks them: not at all when the bounds of
+    g's and m's sweeps prove them finite, else each coordinate's rows, where
+    a non-finite value of m is refused by m and one of the difference raises
+    a ValueError naming g and m.
 
     Each coordinate's rows are compared as Python floats: the gains one by
     one, and the first best level on each side by ``max`` and ``index``.
@@ -102,22 +131,35 @@ def double_greedy_maximize(g: OracleFunction):
     An oracle with its own sweep form (coverage, separable functions and
     their +, -, + c and c * composites, nested to any depth) carries the
     chosen levels from one coordinate to the next.  Its a-rows are the batch
-    values bit for bit, and so is the returned g(a).  Its b-rows take the later coordinates' top
-    levels as one suffix sum or product, so the b-side gains, compared within
-    this call and never returned, may differ from the batch ones in the last
-    bit: a choice could differ only between gains equal to within rounding.
+    values bit for bit, and so is the returned value.  Its b-rows take the
+    later coordinates' top levels as one suffix sum or product, so the
+    b-side gains, compared within this call and never returned, may differ
+    from the batch ones in the last bit: a choice could differ only between
+    gains equal to within rounding.
 
-    For nonnegative submodular g the returned value is at least 1/3 of the
+    For nonnegative submodular h the returned value is at least 1/3 of the
     maximum; the factor is inherited from the classical double greedy and
     checked empirically by the test suite.
     """
     d = g.domain
-    ga, gb = g._batch(np.stack([np.zeros(d.n, dtype=np.int64), d._k_max])).tolist()
+    ends = np.stack([np.zeros(d.n, dtype=np.int64), d._k_max])
+    ga, gb = g._batch(ends).tolist()
     sweep = g._sweep()
+    if m is not None:
+        if not isinstance(m, SeparableFunction):
+            raise TypeError(f"m must be a SeparableFunction, got {type(m).__name__}")
+        _same_domain(g, m)
+        m_sweep = m._sweep()
+        ga, gb = _difference(g, m, [ga, gb], m.values_at(ends).tolist(), lambda: ends)
+        # the composite's rule: rows its parents' bounds prove finite are not checked
+        checked = not _bounded(sweep.bound + m_sweep.bound)
     # at coordinate i, a_i = 0 and b_i = top: the a-rows raise a_i to 1..top,
     # the b-rows lower b_i to 0..top - 1
-    for top in d.k_max:
+    for top, rows in zip(d.k_max, d._sweep_rows[0]):
         values = sweep.rows().tolist()
+        if m is not None:
+            values = _difference(g, m, values, m_sweep.floats(rows),
+                                 sweep.points if checked else None)
         up_gains = [v - ga for v in values[:top]]
         down_gains = [v - gb for v in values[top:]]
         # the first best level on each side; a side whose best gain is not positive stays put
@@ -131,7 +173,26 @@ def double_greedy_maximize(g: OracleFunction):
         if chosen != top:
             gb = values[top + chosen]
         sweep.choose(chosen)
+        if m is not None:
+            m_sweep.choose(chosen)
     return tuple(sweep.chosen), ga
+
+
+def _difference(g: OracleFunction, m: SeparableFunction, g_values: list, m_values: list,
+                points) -> list:
+    """g's values less m's, as Python floats, checked unless ``points`` is None.
+
+    ``points()`` gives the points of the values.  A non-finite value of m is
+    refused by m; one of the difference raises a ValueError naming g and m.
+    """
+    values = [v - w for v, w in zip(g_values, m_values)]
+    if points is not None and not all(map(math.isfinite, values)):
+        X = points()
+        if not all(map(math.isfinite, m_values)):
+            m._refuse(np.array(m_values), X)
+        k = next(k for k, v in enumerate(values) if not math.isfinite(v))
+        raise ValueError(f"{g!r} - {m!r} returned {values[k]} at point {tuple(X[k].tolist())}")
+    return values
 
 
 def brute_force_minimize(v: OracleFunction, cap=None):

@@ -620,6 +620,117 @@ def test_double_greedy_ties_keep_scalar_order():
     assert d.double_greedy_maximize(flat) == _ref_double_greedy(_counted(flat))
 
 
+def _separable_ms(dom, seed, integer):
+    """Three separable functions; the second and third share a random prefix
+    of coordinates with the first.  Integer ones tie often and hold -0.0."""
+    rng = np.random.default_rng(seed)
+
+    def tables():
+        if integer:
+            return [np.where(rng.random(k - 1) < 0.2, -0.0, rng.integers(-1, 2, k - 1) * 1.0)
+                    for k in dom.sizes]
+        return [rng.uniform(0, 0.6, size=k - 1) for k in dom.sizes]
+
+    first = tables()
+    ms = [d.SeparableFunction(dom, 0.25, first)]
+    for _ in range(2):
+        shared = int(rng.integers(0, dom.n + 1))
+        ms.append(d.SeparableFunction(dom, 0.25, first[:shared] + tables()[shared:]))
+    return ms
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes=sizes_st, seed=st.integers(0, 10**6), integer=st.booleans())
+def test_double_greedy_of_g_and_m_equals_the_composite(sizes, seed, integer):
+    """``double_greedy_maximize(g, m)`` is ``double_greedy_maximize(g - m)``
+    bit for bit, for a coverage, a table (integer-valued when ``integer``, so
+    gains tie), a composite and a ``_RememberedRows`` view of each, with m's
+    that share prefixes.  g makes 2 + 2 * sum(k_i - 1) calls; through the view,
+    2 plus the rows at prefixes no earlier run chose.  m is never called."""
+    problem = _coverage_g(sizes, seed)
+    dom = problem.domain
+    rng = np.random.default_rng(seed + 1)
+    values = (rng.integers(0, 3, dom.num_points) * 1.0 if integer
+              else rng.uniform(-1.0, 1.0, dom.num_points))
+    table = d.TableFunction(dom, values)
+    per_run = 2 + sum(2 * (k - 1) for k in sizes)
+    for g in (problem.g, table, table - problem.g):
+        view = d.lattice._RememberedRows(g)
+        seen = set()
+        for m in _separable_ms(dom, seed + 2, integer):
+            expected = d.double_greedy_maximize(g - m)
+            before, m_before = g.call_count, m.call_count
+            assert bits(d.double_greedy_maximize(g, m)) == bits(expected)
+            assert g.call_count - before == per_run
+            before = g.call_count
+            point, value = d.double_greedy_maximize(view, m)
+            assert bits((point, value)) == bits(expected)
+            unseen = [2 * (k - 1) for i, k in enumerate(sizes) if point[:i] not in seen]
+            assert g.call_count - before == 2 + sum(unseen)
+            seen.update(point[:i] for i in range(dom.n))
+            assert m.call_count == m_before
+
+
+def test_double_greedy_of_g_and_m_refuses_what_the_composite_refuses():
+    """A g - m that overflows raises a ValueError naming g and m, at the start
+    (g(k_max) - m(k_max)) or in a sweep row; an inf in m is refused by m.  m
+    must be a separable function on g's domain."""
+    dom = d.LatticeDomain([3, 2])
+    at_top = d.TableFunction(dom, [0.0] * 5 + [1e308])
+    in_row = d.TableFunction(dom, [0.0, 0.0, 1e308, 0.0, 0.0, 0.0])  # (1, 0), an a-row
+    m = d.SeparableFunction(dom, 0.0, [[-1e308, 0.0], [0.0]])
+    for g, point in ((at_top, "(2, 1)"), (in_row, "(1, 0)")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{g!r} - {m!r} returned inf at point {point}")):
+            d.double_greedy_maximize(g, m)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="returned inf"):
+            d.double_greedy_maximize(g - m)  # the composite refuses it too, counting m
+    infinite = d.SeparableFunction(dom, 0.0, [[0.0, 0.0], [np.inf]])
+    with pytest.raises(ValueError, match=re.escape(f"{infinite!r} returned inf at point (2, 1)")):
+        d.double_greedy_maximize(d.TableFunction(dom, np.zeros(6)), infinite)
+    assert infinite.call_count == 0
+    with pytest.raises(TypeError, match="SeparableFunction"):
+        d.double_greedy_maximize(at_top, at_top)
+    with pytest.raises(ValueError, match="domain mismatch"):
+        d.double_greedy_maximize(at_top, d.SeparableFunction.zero(d.LatticeDomain([3, 3])))
+
+
+def test_double_greedy_of_g_and_m_checks_the_rows_the_bounds_leave_unproven(monkeypatch):
+    """A coverage g and a bounded m prove every row of g - m finite: only g(0)
+    - m(0) and g(k_max) - m(k_max) are checked.  A table g proves nothing, so
+    each coordinate's rows are checked too."""
+    problem = _coverage_g([3, 4, 2], 7)
+    dom = problem.domain
+    m = d.SeparableFunction(dom, 0.5, [np.full(k - 1, 0.25) for k in dom.sizes])
+    checked = []
+    difference = d.solvers._difference
+    monkeypatch.setattr(d.solvers, "_difference", lambda g, m, gv, mv, points: checked.append(
+        points is not None) or difference(g, m, gv, mv, points))
+    table = d.TableFunction(dom, np.zeros(dom.num_points))
+    for g, rows_checked in ((problem.g, False), (d.lattice._RememberedRows(problem.g), False),
+                            (table, True)):
+        checked.clear()
+        d.double_greedy_maximize(g, m)
+        assert checked == [True] + [rows_checked] * dom.n
+
+
+@pytest.mark.filterwarnings("error")
+def test_double_greedy_of_g_and_m_refuses_an_inf_of_g_by_g():
+    """+inf in g at the start, where m is +inf everywhere, and in a sweep row:
+    g refuses it with its own message before anything is subtracted, directly
+    and through a view, and no RuntimeWarning is raised."""
+    dom = d.LatticeDomain([3, 2])
+    zeros = [[0.0, 0.0], [0.0]]
+    for values, m, point in (
+            ([np.inf] + [0.0] * 5, d.SeparableFunction(dom, np.inf, zeros), "(0, 0)"),
+            ([0.0, 0.0, np.inf, 0.0, 0.0, 0.0], d.SeparableFunction(dom, 0.0, zeros), "(1, 0)")):
+        g = d.TableFunction(dom, values)
+        for h in (g, d.lattice._RememberedRows(g)):
+            with pytest.raises(ValueError, match=re.escape(f"{g!r} returned inf at point {point}")):
+                d.double_greedy_maximize(h, m)
+        assert m.call_count == 0
+
+
 @settings(max_examples=30, deadline=None)
 @given(sizes=sizes_st, seed=st.integers(0, 10**6), tie=st.booleans())
 def test_greedy_extension_matches_reference(sizes, seed, tie):

@@ -31,6 +31,20 @@ class TestProfile:
         profile = d.Profile(dom, [[0.8, 0.5], [0.5, 0.0]])
         assert profile.breakpoints().tolist() == [0.5, 0.8, 1.0]
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_breakpoints_equal_the_unique_positive_values(self, seed):
+        """Rounded levels repeat within and across coordinates, and hold 0.0,
+        -0.0 (validate=False) and 1.0: the breakpoints are np.unique's
+        positive values, plus 1.0, bit for bit."""
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(2, 6, size=rng.integers(1, 5)).tolist()
+        levels = [np.sort(np.round(rng.uniform(-0.3, 1.3, size=k - 1), 1).clip(0.0, 1.0))[::-1]
+                  for k in sizes]
+        levels[0][-1] = -0.0 if seed % 2 else 0.0
+        profile = d.Profile(d.LatticeDomain(sizes), levels, validate=False)
+        values = np.unique(np.concatenate(levels + [np.ones(1)]))
+        assert profile.breakpoints().tobytes() == values[values > 0.0].tobytes()
+
 
 class TestLevelAt:
     def test_case_split(self):

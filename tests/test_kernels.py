@@ -457,15 +457,53 @@ def test_prefix_tables_are_filled_on_first_read(sizes, seed, integer, first):
     _assert_flat_layout(s, 0.75 + -0.5, [x + y for x, y in zip(ta, tb)])
 
 
+def _nonnegative(tables, mask, seed):
+    """Coordinate i's increments made >= 0 where bit i of ``mask`` is set,
+    about a third of them exactly 0.0 or -0.0: curves the DP skips."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i, t in enumerate(tables):
+        if mask >> i & 1:
+            zero = rng.random(t.size) < 0.35
+            t = np.where(zero, rng.choice([0.0, -0.0], size=t.size), np.abs(t))
+        out.append(t)
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(sizes=st.lists(st.integers(2, 6), min_size=1, max_size=6), seed=st.integers(0, 10**6),
-       integer=st.booleans())
-def test_cardinality_dp_matches_the_scalar_reference(sizes, seed, integer):
-    """Every budget from 0 to one past the total, the tie rule included."""
-    s = d.SeparableFunction(d.LatticeDomain(sizes), 0.5, _tables(sizes, seed, integer))
+       integer=st.booleans(), nonnegative=st.one_of(st.just(0), st.just(2**6 - 1),
+                                                    st.integers(0, 2**6 - 1)))
+def test_cardinality_dp_matches_the_scalar_reference(sizes, seed, integer, nonnegative):
+    """Every budget from 0 to one past the total, the tie rule included.
+
+    The coordinates in the bitmask ``nonnegative`` (none, all or some) have
+    curves >= 0, with increments of 0.0 and -0.0, which the DP skips; the
+    budgets below the total bind on the others."""
+    tables = _nonnegative(_tables(sizes, seed, integer), nonnegative, seed)
+    s = d.SeparableFunction(d.LatticeDomain(sizes), 0.5, tables)
     for budget in range(sum(sizes) - len(sizes) + 2):
         got = d.minimize_separable_cardinality(s, None, budget)
         assert bits(got) == bits(ref_minimize_separable_cardinality(s, None, budget)), budget
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cardinality_dp_skips_nothing_where_a_sum_could_reach_minus_inf():
+    """A curve holding -inf, or lowest levels summing past the float range:
+    no curve >= 0 is skipped, so the result is the full program's, whose
+    -inf meets a skipped curve's +inf (a level or the padding) as NaN."""
+    cases = [
+        ([2, 2], [[1.0], [-np.inf]], [((0, 1), math.nan), ((1, 1), math.nan), ((0, 1), -math.inf)]),
+        ([2, 2], [[np.inf], [-np.inf]], [((0, 1), math.nan), ((1, 1), math.nan),
+                                         ((1, 1), math.nan)]),
+        ([2, 2, 2], [[np.inf], [-1e308], [-1e308]],
+         [((0, 0, 0), 0.0), ((0, 0, 1), -1e308), ((0, 1, 1), -math.inf),
+          ((1, 1, 1), math.nan)]),
+    ]
+    for sizes, tables, expected in cases:
+        s = d.SeparableFunction(d.LatticeDomain(sizes), 0.0, tables)
+        got = [d.minimize_separable_cardinality(s, None, b) for b in range(len(expected))]
+        assert [(p, repr(v)) for p, v in got] == [(p, repr(v)) for p, v in expected]
 
 
 # ---------------------------------------------------------------------------
