@@ -46,32 +46,49 @@ class Profile:
     """Per-coordinate non-increasing level weights in [0, 1].
 
     ``levels[i][j-1]`` is the weight of level j of coordinate i
-    (j = 1..k_i-1).  Entry order within a coordinate is non-increasing.
+    (j = 1..k_i-1).  Entry order within a coordinate is non-increasing.  The
+    weights are kept as one flat array in (coordinate, level) order, the
+    order of ``LatticeDomain._rises``; ``levels`` splits it per coordinate
+    on first read.
     """
 
     def __init__(self, domain: LatticeDomain, levels, validate: bool = True):
-        self.domain = domain
-        self.levels = [np.asarray(v, dtype=float).reshape(-1) for v in levels]
-        if len(self.levels) != domain.n:
-            raise ValueError(f"need {domain.n} level vectors, got {len(self.levels)}")
-        for i, v in enumerate(self.levels):
+        levels = [np.asarray(v, dtype=float).reshape(-1) for v in levels]
+        if len(levels) != domain.n:
+            raise ValueError(f"need {domain.n} level vectors, got {len(levels)}")
+        for i, v in enumerate(levels):
             if v.size != domain.sizes[i] - 1:
                 raise ValueError(
                     f"levels[{i}]: expected {domain.sizes[i] - 1} entries, got {v.size}"
                 )
         if validate:
-            for i, v in enumerate(self.levels):
+            for i, v in enumerate(levels):
                 if v.size and (v.min() < -PROFILE_TOL or v.max() > 1 + PROFILE_TOL):
                     raise ValueError(f"levels[{i}] leave [0, 1]: {v}")
                 if np.any(np.diff(v) > PROFILE_TOL):
                     raise ValueError(f"levels[{i}] not non-increasing: {v}")
+        self.domain = domain
+        self._flat = np.concatenate(levels)
+
+    @classmethod
+    def _of_flat(cls, domain: LatticeDomain, flat: np.ndarray):
+        """From all weights laid end to end in (coordinate, level) order, unchecked."""
+        profile = cls.__new__(cls)
+        profile.domain = domain
+        profile._flat = flat
+        return profile
 
     @classmethod
     def constant(cls, domain: LatticeDomain, value: float):
-        return cls(domain, [np.full(k - 1, float(value)) for k in domain.sizes])
+        return cls._of_flat(domain, np.full(domain._rises.size, float(value)))
+
+    @functools.cached_property
+    def levels(self) -> List[np.ndarray]:
+        """Per-coordinate weight arrays (views of the flat weights)."""
+        return np.split(self._flat, self.domain._increment_offsets[1:])
 
     def entry_count(self) -> int:
-        return sum(v.size for v in self.levels)
+        return self._flat.size
 
     def point_at(self, t: float) -> tuple:
         return tuple(self.points_at([t])[0].tolist())
@@ -82,19 +99,21 @@ class Profile:
         outside = ~((ts > 0.0) & (ts <= 1.0))
         if outside.any():
             raise ValueError(f"threshold must lie in (0, 1], got {ts[np.argmax(outside)]}")
-        return np.stack([(v[None, :] >= ts[:, None]).sum(axis=1) for v in self.levels], axis=1)
+        # each coordinate's count of weights >= t
+        return np.add.reduceat(self._flat[None, :] >= ts[:, None],
+                               self.domain._increment_offsets, axis=1, dtype=np.int64)
 
     def breakpoints(self) -> np.ndarray:
         """Distinct entry values in (0, 1], plus 1.0, ascending."""
         # a sort and a mask of the first of each run of equal values: np.unique
         # would do the same, but its first call in a process costs about 1 MB
-        vals = np.sort(np.concatenate(self.levels + [np.ones(1)]))
+        vals = np.sort(np.concatenate((self._flat, [1.0])))
         keep = vals > 0.0
         keep[1:] &= vals[1:] != vals[:-1]
         return vals[keep]
 
     def copy(self):
-        return Profile(self.domain, [v.copy() for v in self.levels], validate=False)
+        return Profile._of_flat(self.domain, self._flat.copy())
 
     def __repr__(self):
         return f"Profile({[np.round(v, 4).tolist() for v in self.levels]})"
@@ -102,13 +121,10 @@ class Profile:
 
 def profile_from_point(domain: LatticeDomain, y) -> Profile:
     """Indicator profile of a lattice point: weight 1 on levels <= y_i, else 0."""
-    y = domain.require(y)
-    levels = []
-    for i, k in enumerate(domain.sizes):
-        v = np.zeros(k - 1)
-        v[: y[i]] = 1.0
-        levels.append(v)
-    return Profile(domain, levels, validate=False)
+    y = np.array(domain.require(y))
+    rises = domain._rises
+    return Profile._of_flat(domain, (domain._levels[rises] <= y[domain._level_coords[rises]])
+                            .astype(float))
 
 
 def level_at(level_weights, t: float) -> int:
@@ -152,16 +168,16 @@ def greedy_extension(f: OracleFunction, profile: Profile):
     d = f.domain
     if profile.domain != d:
         raise ValueError("profile domain does not match the function domain")
-    for i, v in enumerate(profile.levels):
-        if np.any(np.diff(v) > PROFILE_TOL):
-            raise ValueError(f"profile coordinate {i} is not non-increasing: {v}")
+    weights = profile._flat
+    coords, levels = d._level_coords[d._rises], d._levels[d._rises]
+    # a rise between two levels of one coordinate
+    rising = (np.diff(weights) > PROFILE_TOL) & (coords[1:] == coords[:-1])
+    if rising.any():
+        i = int(coords[np.argmax(rising)])
+        raise ValueError(f"profile coordinate {i} is not non-increasing: {profile.levels[i]}")
 
-    # entries in (coordinate, level) order, then sorted by decreasing weight
-    weights = np.concatenate(profile.levels)
-    coords = np.repeat(np.arange(d.n), [k - 1 for k in d.sizes])
-    levels = np.concatenate([np.arange(1, k) for k in d.sizes])
+    # entries in (coordinate, level) order, sorted by decreasing weight
     order = np.lexsort((levels, coords, -weights))
-
     walk = coords[order]
     values = f._batch(_walk(d, walk))
     # accumulated in walk order, one entry at a time
@@ -174,11 +190,6 @@ def _walk(domain: LatticeDomain, increments: np.ndarray) -> np.ndarray:
     steps = np.zeros((increments.size + 1, domain.n), dtype=np.int64)
     steps[np.arange(1, increments.size + 1), increments] = 1
     return np.cumsum(steps, axis=0)
-
-
-def _split_levels(domain: LatticeDomain, flat: np.ndarray) -> List[np.ndarray]:
-    """Per-coordinate tables from r entries in (coordinate, level) order."""
-    return np.split(flat, domain._increment_offsets[1:])
 
 
 def _separable_along(domain: LatticeDomain, increments: np.ndarray,

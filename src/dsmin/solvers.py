@@ -9,13 +9,14 @@ All exact solvers break ties lexicographically so runs are reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .extension import Profile, _split_levels, greedy_extension
+from .extension import Profile, greedy_extension
 from .lattice import (LatticeDomain, OracleFunction, SeparableFunction, _bounded, _same_domain,
                       _Tabulation)
 
@@ -46,9 +47,13 @@ def minimize_separable_cardinality(s: SeparableFunction, domain: Optional[Lattic
     later coordinates does not increase with the budget, and rounding is
     monotone, so level 0 ties or beats every other level at every budget and
     is the lowest; and 0.0 + best is best bit for bit, as best is never
-    -0.0.  A curve holding NaN or -inf is never skipped.  Nothing is skipped
-    when the lowest levels of the other curves could sum to -inf, where a
-    skipped curve's +inf (a level, or the grid's padding) would meet -inf.
+    -0.0.
+
+    A curve holding NaN or +-inf, or curves whose lowest levels could sum
+    past the float range (``lattice._bounded``), raise a ValueError: a -inf
+    sum would meet the +inf of the grid's padding or of a level above the
+    budget as NaN, which argmin picks, so the point could leave the domain
+    or the budget.
     """
     d = domain or s.domain
     if d != s.domain:
@@ -59,10 +64,11 @@ def minimize_separable_cardinality(s: SeparableFunction, domain: Optional[Lattic
     b_cap = min(budget, d._rises.size)
 
     grid = s._prefix_grid
-    lows = grid.min(axis=1)  # NaN where a curve holds one
-    kept = np.flatnonzero(~(lows >= 0.0))
-    if not _bounded(-sum(lows[kept].tolist())):
-        kept = np.arange(d.n)
+    lows = grid.min(axis=1)
+    if not (np.isfinite(s._flat_prefixes).all() and _bounded(-sum(lows.tolist()))):
+        raise ValueError(f"{s!r}: the budget program needs finite prefix curves whose "
+                         "lowest levels sum within the float range")
+    kept = np.flatnonzero(lows < 0.0)
     grid = grid[kept]
 
     # One min-plus step per kept coordinate, from the last: with best[b] the
@@ -207,7 +213,11 @@ def brute_force_minimize(v: OracleFunction, cap=None):
 
 def pav_nonincreasing(values) -> np.ndarray:
     """Euclidean projection onto non-increasing sequences (pool adjacent violators)."""
-    values = np.asarray(values, dtype=float)
+    return np.array(_pav(np.asarray(values, dtype=float).tolist()), dtype=float)
+
+
+def _pav(values: list) -> list:
+    """``pav_nonincreasing`` over Python floats, which add and divide as numpy's doubles do."""
     sums = []
     counts = []
     for v in values:
@@ -218,11 +228,9 @@ def pav_nonincreasing(values) -> np.ndarray:
             s, c = sums.pop(), counts.pop()
             sums[-1] += s
             counts[-1] += c
-    out = np.empty(values.size)
-    pos = 0
+    out = []
     for s, c in zip(sums, counts):
-        out[pos:pos + c] = s / c
-        pos += c
+        out += [s / c] * c
     return out
 
 
@@ -330,6 +338,8 @@ def minimize_submodular(f: OracleFunction, method: str = "brute_force",
 def _min_norm_point_sfm(f: OracleFunction, budget: int) -> SfmResult:
     d = f.domain
     shifts = _level_shifts(d)
+    lows = shifts.argmin(axis=1).tolist()  # shift k is e_(lows[k] + 1) - e_(lows[k])
+    segments = _segments(d)
     _, s = greedy_extension(f, Profile.constant(d, 0.5))
     f0 = s.constant
     atoms = s._increments[None, :]  # one per row
@@ -340,24 +350,26 @@ def _min_norm_point_sfm(f: OracleFunction, budget: int) -> SfmResult:
         # level shifts first: they cost no oracle calls and make z
         # non-decreasing along every coordinate
         z = weights @ atoms
-        slack = shifts @ z
-        while slack.size and slack.min() < -CORRAL_TOL * max(1.0, np.abs(z).max()):
+        while True:
+            zs = z.tolist()
+            # shifts @ z: each row picks one difference of z, rounded once
+            slack = [zs[p + 1] - zs[p] for p in lows]
+            if not (slack and min(slack) < -CORRAL_TOL * max(1.0, max(map(abs, zs)))):
+                break
             atoms, greedy, weights = _add_atom(atoms, greedy, weights,
-                                               shifts[int(np.argmin(slack))], False)
+                                               shifts[slack.index(min(slack))], False)
             z = weights @ atoms
-            slack = shifts @ z
-        rho = _pav_levels(d, -z)
+        rho = np.array(_pav_levels(segments, [-v for v in zs]))
         point, value, ext = _round_and_extend(f, _rounding_profile(d, rho))
         if value < best_value:
             best_point, best_value = point, value
         best_ext = min(best_ext, ext)
-        w = weights[greedy] @ atoms[greedy]
-        _, bound = minimize_separable(SeparableFunction._of_increments(d, f0, w))
-        lower = max(lower, bound)
+        w = (weights[greedy] @ atoms[greedy]).tolist()
+        lower = max(lower, f0 + _separable_minimum(segments, w))
         if best_value - lower <= SFM_TOL * max(1.0, abs(best_value)) or iteration == budget:
             break
         # greedy_extension reads only the order of the entries, so rho may leave [0, 1]
-        _, s = greedy_extension(f, Profile(d, _split_levels(d, rho), validate=False))
+        _, s = greedy_extension(f, Profile._of_flat(d, rho))
         vertex = s._increments
         if z @ z - z @ vertex <= CORRAL_TOL * max(1.0, z @ z):
             break  # no greedy vector lowers |z|: z is the least-norm point
@@ -369,20 +381,46 @@ def _min_norm_point_sfm(f: OracleFunction, budget: int) -> SfmResult:
                      iterations=iteration, duality_info=info)
 
 
+@functools.lru_cache(maxsize=16)
 def _level_shifts(domain: LatticeDomain) -> np.ndarray:
-    """Rows e_(i,l+1) - e_(i,l) for consecutive levels, in (coordinate, level) order."""
-    ends = np.cumsum([k - 1 for k in domain.sizes])
-    lows = np.array([j for end, k in zip(ends, domain.sizes)
-                     for j in range(end - k + 1, end - 1)], dtype=np.int64)
-    shifts = np.zeros((lows.size, int(ends[-1])))
+    """Rows e_(i,l+1) - e_(i,l) for consecutive levels, in (coordinate, level) order.
+
+    Built once per domain and shared, so read-only.
+    """
+    coords = domain._level_coords[domain._rises]
+    lows = np.flatnonzero(coords[1:] == coords[:-1])
+    shifts = np.zeros((lows.size, coords.size))
     shifts[np.arange(lows.size), lows] = -1.0
     shifts[np.arange(lows.size), lows + 1] = 1.0
+    shifts.flags.writeable = False
     return shifts
 
 
-def _pav_levels(domain: LatticeDomain, u: np.ndarray) -> np.ndarray:
+def _segments(domain: LatticeDomain) -> list:
+    """Each coordinate's (start, stop) in its levels laid end to end in (coordinate, level) order."""
+    ends = domain._increment_offsets.tolist() + [domain._rises.size]
+    return list(zip(ends[:-1], ends[1:]))
+
+
+def _pav_levels(segments: list, u: list) -> list:
     """Each coordinate's levels of u projected onto non-increasing sequences."""
-    return np.concatenate([pav_nonincreasing(v) for v in _split_levels(domain, u)])
+    return [v for i, j in segments for v in _pav(u[i:j])]
+
+
+def _separable_minimum(segments: list, w: list) -> float:
+    """sum_i min(0, running prefix of w_i), for finite w: ``minimize_separable``'s
+    value less the constant, bit for bit (the prefixes add as ``np.cumsum``
+    does, and a zero minimum is level 0's +0.0, as argmin keeps the lowest tie).
+    """
+    lows = []
+    for i, j in segments:
+        low = prefix = 0.0
+        for v in w[i:j]:
+            prefix += v
+            if prefix < low:
+                low = prefix
+        lows.append(low)
+    return sum(lows)
 
 
 def _rounding_profile(domain: LatticeDomain, rho: np.ndarray) -> Profile:
@@ -393,7 +431,7 @@ def _rounding_profile(domain: LatticeDomain, rho: np.ndarray) -> Profile:
     """
     top = float(rho.max())
     scaled = rho / top if top > 0.0 else rho
-    return Profile(domain, _split_levels(domain, np.clip(scaled, 0.0, 1.0)), validate=False)
+    return Profile._of_flat(domain, np.clip(scaled, 0.0, 1.0))
 
 
 def _add_atom(atoms, greedy, weights, atom, is_greedy: bool):
@@ -403,9 +441,9 @@ def _add_atom(atoms, greedy, weights, atom, is_greedy: bool):
     affine hull (greedy weights summing to 1) until one reaches zero, and
     drops it; the cycles end when that point has every weight positive.
     """
-    atoms = np.vstack([atoms, atom])
-    greedy = np.append(greedy, is_greedy)
-    weights = np.append(weights, 0.0)
+    atoms = np.concatenate((atoms, atom[None, :]))
+    greedy = np.concatenate((greedy, [is_greedy]))
+    weights = np.concatenate((weights, [0.0]))
     while True:
         target = _affine_minimizer(atoms, greedy)
         if (target > CORRAL_TOL).all():

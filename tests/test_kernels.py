@@ -18,6 +18,12 @@ The coverage side's batch kernel gathers from a flat powers array; the
 two-index gather it replaced, folded over coordinates in Python, is kept as a
 reference, equal bit for bit.  ``SeparableFunction.values_at`` of one row is
 checked against a left fold in the same way.
+
+The minimum-norm-point solver works on the flat (coordinate, level) arrays
+of a profile: its PAV over Python floats, ``Profile.breakpoints`` and
+``points_at``, the monotonicity check of ``greedy_extension`` and the
+certified lower bound are checked bit for bit against the per-coordinate
+forms they replaced and against ``minimize_separable``.
 """
 
 import math
@@ -28,6 +34,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dsmin as d
+from dsmin import solvers
+from dsmin.extension import PROFILE_TOL
 from dsmin.lattice import (CHECK_TOL, Verdict, Witness, second_difference_cross,
                           second_difference_within)
 from conftest import bits, coverage_function, quadratic_submodular
@@ -487,23 +495,25 @@ def test_cardinality_dp_matches_the_scalar_reference(sizes, seed, integer, nonne
         assert bits(got) == bits(ref_minimize_separable_cardinality(s, None, budget)), budget
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_cardinality_dp_skips_nothing_where_a_sum_could_reach_minus_inf():
-    """A curve holding -inf, or lowest levels summing past the float range:
-    no curve >= 0 is skipped, so the result is the full program's, whose
-    -inf meets a skipped curve's +inf (a level or the padding) as NaN."""
-    cases = [
-        ([2, 2], [[1.0], [-np.inf]], [((0, 1), math.nan), ((1, 1), math.nan), ((0, 1), -math.inf)]),
-        ([2, 2], [[np.inf], [-np.inf]], [((0, 1), math.nan), ((1, 1), math.nan),
-                                         ((1, 1), math.nan)]),
-        ([2, 2, 2], [[np.inf], [-1e308], [-1e308]],
-         [((0, 0, 0), 0.0), ((0, 0, 1), -1e308), ((0, 1, 1), -math.inf),
-          ((1, 1, 1), math.nan)]),
-    ]
-    for sizes, tables, expected in cases:
+def test_cardinality_dp_refuses_curves_outside_the_float_range():
+    """A curve holding NaN or +-inf, or lowest levels summing past the float
+    range.  The program would meet -inf with the +inf of the padding or of a
+    level above the budget as NaN; the first two cases returned (0, 1) at
+    budget 0 and (1, 1) at budget 1 with value NaN, the last (2, 1, 1), off
+    the domain, at budget 4."""
+    cases = [([2, 2], [[1.0], [-np.inf]]), ([2, 2], [[np.inf], [-np.inf]]),
+             ([2, 2], [[np.nan], [1.0]]), ([2, 2, 2], [[np.inf], [-1.0], [-1.0]]),
+             ([2, 3, 3], [[1.0], [-1e308, 0.0], [-1e308, 0.0]])]
+    for sizes, tables in cases:
         s = d.SeparableFunction(d.LatticeDomain(sizes), 0.0, tables)
-        got = [d.minimize_separable_cardinality(s, None, b) for b in range(len(expected))]
-        assert [(p, repr(v)) for p, v in got] == [(p, repr(v)) for p, v in expected]
+        for budget in range(sum(sizes) - len(sizes) + 1):
+            with pytest.raises(ValueError, match="finite prefix curves"):
+                d.minimize_separable_cardinality(s, None, budget)
+    # lowest levels summing to -2e299 keep every sum finite: solved as before
+    s = d.SeparableFunction(d.LatticeDomain([2, 3, 3]), 0.0,
+                            [[1.0], [-1e299, 0.0], [-1e299, 0.0]])
+    assert [d.minimize_separable_cardinality(s, None, b) for b in (1, 4)] == [
+        ((0, 0, 1), -1e299), ((0, 1, 1), -2e299)]
 
 
 # ---------------------------------------------------------------------------
@@ -562,3 +572,101 @@ def test_separable_values_at_one_row_is_the_left_fold(n):
         pairwise_differs += pairwise != total
     if n == 40:
         assert pairwise_differs > 100
+
+
+# ---------------------------------------------------------------------------
+# The minimum-norm-point solver's flat pieces
+# ---------------------------------------------------------------------------
+
+def ref_pav_nonincreasing(values):
+    """Pool adjacent violators over numpy scalars, as ``pav_nonincreasing`` was."""
+    values = np.asarray(values, dtype=float)
+    sums = []
+    counts = []
+    for v in values:
+        sums.append(v)
+        counts.append(1)
+        while len(sums) >= 2 and sums[-1] / counts[-1] > sums[-2] / counts[-2]:
+            s, c = sums.pop(), counts.pop()
+            sums[-1] += s
+            counts[-1] += c
+    out = np.empty(values.size)
+    pos = 0
+    for s, c in zip(sums, counts):
+        out[pos:pos + c] = s / c
+        pos += c
+    return out
+
+
+def ref_breakpoints(levels):
+    vals = np.sort(np.concatenate(list(levels) + [np.ones(1)]))
+    keep = vals > 0.0
+    keep[1:] &= vals[1:] != vals[:-1]
+    return vals[keep]
+
+
+def ref_points_at(levels, ts):
+    return np.stack([(v[None, :] >= ts[:, None]).sum(axis=1) for v in levels], axis=1)
+
+
+def _levels(sizes, seed, integer):
+    """Level weights; integer ones tie within and across coordinates and hold -0.0.
+
+    Both kinds leave [0, 1] and rise within a coordinate, as the solver's
+    unprojected profiles may.
+    """
+    rng = np.random.default_rng(seed)
+    if integer:
+        return [rng.choice([-0.5, -0.0, 0.0, 0.25, 0.5, 1.0, 1.5], size=k - 1) for k in sizes]
+    return [rng.normal(0.5, 0.5, size=k - 1) for k in sizes]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=sizes_st, seed=st.integers(0, 10**6), integer=st.booleans())
+def test_flat_pav_is_the_per_coordinate_projection(sizes, seed, integer):
+    levels = _levels(sizes, seed, integer)
+    want = [ref_pav_nonincreasing(v) for v in levels]
+    assert [d.pav_nonincreasing(v).tobytes() for v in levels] == [v.tobytes() for v in want]
+    got = solvers._pav_levels(solvers._segments(d.LatticeDomain(sizes)),
+                              np.concatenate(levels).tolist())
+    assert np.array(got).tobytes() == np.concatenate(want).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=sizes_st, seed=st.integers(0, 10**6), integer=st.booleans())
+def test_flat_profile_pieces_match_the_per_coordinate_forms(sizes, seed, integer):
+    dom = d.LatticeDomain(sizes)
+    levels = _levels(sizes, seed, integer)
+    profile = d.Profile(dom, levels, validate=False)
+    assert [v.tobytes() for v in profile.levels] == [v.tobytes() for v in levels]
+    ts = ref_breakpoints(levels)
+    assert profile.breakpoints().tobytes() == ts.tobytes()
+    rng = np.random.default_rng(seed)
+    ts = np.concatenate((ts[ts <= 1.0], 1.0 - rng.random(5)))
+    points = profile.points_at(ts)
+    want = ref_points_at(levels, ts)
+    assert (points.dtype, points.tobytes()) == (want.dtype, want.tobytes())
+    # greedy_extension refuses the first coordinate whose levels rise
+    rising = [i for i, v in enumerate(levels) if np.any(np.diff(v) > PROFILE_TOL)]
+    f = d.SeparableFunction(dom, 0.0, [np.ones(k - 1) for k in sizes])
+    if rising:
+        with pytest.raises(ValueError, match=f"profile coordinate {rising[0]} is not"):
+            d.greedy_extension(f, profile)
+    else:
+        d.greedy_extension(f, profile)
+    y = tuple(int(rng.integers(0, k)) for k in sizes)
+    indicator = [(np.arange(1, k) <= y[i]).astype(float) for i, k in enumerate(sizes)]
+    assert [v.tobytes() for v in d.profile_from_point(dom, y).levels] == \
+        [v.tobytes() for v in indicator]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=sizes_st, seed=st.integers(0, 10**6), integer=st.booleans(),
+       f0=st.sampled_from([0.0, -1.5, 2.0]))
+def test_flat_lower_bound_is_minimize_separable(sizes, seed, integer, f0):
+    """f0 + sum_i min(0, running prefix of w_i) is the separable minimum, ties and -0.0 included."""
+    dom = d.LatticeDomain(sizes)
+    w = np.concatenate(_tables(sizes, seed, integer))
+    got = f0 + solvers._separable_minimum(solvers._segments(dom), w.tolist())
+    _, want = d.minimize_separable(d.SeparableFunction._of_increments(dom, f0, w))
+    assert bits(got) == bits(want)
