@@ -80,7 +80,7 @@ class Profile:
 
     @classmethod
     def constant(cls, domain: LatticeDomain, value: float):
-        return cls._of_flat(domain, np.full(domain._rises.size, float(value)))
+        return cls(domain, [np.full(k - 1, float(value)) for k in domain.sizes])
 
     @functools.cached_property
     def levels(self) -> List[np.ndarray]:

@@ -340,7 +340,7 @@ def _min_norm_point_sfm(f: OracleFunction, budget: int) -> SfmResult:
     shifts = _level_shifts(d)
     lows = shifts.argmin(axis=1).tolist()  # shift k is e_(lows[k] + 1) - e_(lows[k])
     segments = _segments(d)
-    _, s = greedy_extension(f, Profile.constant(d, 0.5))
+    _, s = greedy_extension(f, Profile._of_flat(d, np.full(d._rises.size, 0.5)))
     f0 = s.constant
     atoms = s._increments[None, :]  # one per row
     greedy = np.ones(1, dtype=bool)            # greedy vector (True) or level shift
