@@ -226,21 +226,18 @@ def reference_quadratic(domain: LatticeDomain):
     """The strictly submodular reference sum x_i^2 - 4 * sum_{i<j} x_i x_j.
 
     Every cross second difference equals -4 exactly, so the magnitude 4 is
-    returned alongside the oracle for use in ds_construct.  The oracle is a
-    batch kernel; every intermediate is an integer below 2^53, so each value
-    is exact whatever the batch.
+    returned alongside the oracle for use in ds_construct.
     """
     if domain.n < 2:
         raise ValueError("reference quadratic needs at least two coordinates")
-    return OracleFunction(domain, batch_fn=_reference_values, name="reference_quadratic"), 4.0
 
+    def eval_ref(x):
+        arr = np.asarray(x, dtype=float)
+        sq = float(np.dot(arr, arr))
+        cross = (float(arr.sum()) ** 2 - sq) / 2.0
+        return sq - 4.0 * cross
 
-def _reference_values(X: np.ndarray) -> np.ndarray:
-    """sum x_i^2 - 4 * sum_{i<j} x_i x_j at each row of X, with the cross sum as (s^2 - sq) / 2."""
-    X = X.astype(float)
-    sq = (X * X).sum(axis=1)
-    cross = (X.sum(axis=1) ** 2 - sq) / 2.0
-    return sq - 4.0 * cross
+    return OracleFunction(domain, eval_ref, name="reference_quadratic"), 4.0
 
 
 class DsConstructionError(ValueError):

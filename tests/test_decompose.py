@@ -216,19 +216,6 @@ class TestReferenceQuadratic:
         with pytest.raises(ValueError):
             d.reference_quadratic(d.LatticeDomain([5]))
 
-    def test_batch_kernel_is_the_scalar_formula_bit_for_bit(self):
-        def scalar(x):  # the per-point form the kernel replaced
-            arr = np.asarray(x, dtype=float)
-            sq = float(np.dot(arr, arr))
-            return sq - 4.0 * ((float(arr.sum()) ** 2 - sq) / 2.0)
-
-        rng = np.random.default_rng(26)
-        for sizes in ([4, 3, 5], [2, 2], [10**4] * 5):
-            dom = d.LatticeDomain(sizes)
-            g, _ = d.reference_quadratic(dom)
-            X = np.stack([rng.integers(0, k, size=50) for k in sizes], axis=1)
-            assert g.batch(X).tolist() == [scalar(x) for x in X.tolist()]
-
 
 class TestDsConstruct:
     def test_product_becomes_submodular(self):
