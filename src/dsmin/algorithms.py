@@ -18,16 +18,14 @@ epsilon * |v| (sign-safe form; plain strict descent when epsilon = 0).
 
 supsub and modmod solve a surrogate equal bit for bit to the one they solved
 last only once per solve: the stored point and value are proposed again, so
-only call counters and times differ from solving it afresh.  Within one
-supsub solve, double greedy's rows of g are also remembered by the levels
-chosen before them, and read again instead of evaluated; this too moves only
-g's call counter and times.  supsub's double greedy subtracts the rows of its
-separable bound, read from the bound's tables, from g's rows as floats, bit
-for bit what the composite g - m_f would give, without building it.  Within
-one modmod or subsup solve, the last chain's points and values of g are
-kept, and a new chain evaluates g only on the rows between its common prefix
-and its common suffix with the last chain: again only g's call counter and
-times move.
+only call counters and times differ from solving it afresh.  supsub runs
+double greedy on g and its separable bound m_f, whose rows it reads from
+m_f's tables and subtracts from g's as floats.  Within one supsub solve, g's
+rows are remembered by the levels chosen before them, and read again instead
+of evaluated; this moves only g's call counter and times.  Within one modmod
+or subsup solve, the last chain's points and values of g are kept, and a new
+chain evaluates g only on the rows between its common prefix and its common
+suffix with the last chain: again only g's call counter and times move.
 
 When an iteration produces no accepted move, the current point is certified
 by checking all 2n unit neighbours (the condition the O(n) adjacent-chain
@@ -49,8 +47,7 @@ import numpy as np
 
 from .lattice import (CapExceededError, LatticeDomain, OracleFunction, SeparableFunction,
                       _RememberedRows)
-from .extension import (Chain, _chain_containing, _require_on_chain, _separable_along,
-                        adjacent_chain_family)
+from .extension import Chain, _chain_bounds, _chain_containing, adjacent_chain_family
 from .bounds import dr_violation, separable_upper_bound
 from .decompose import DsProblem, monotone_form
 from .solvers import (
@@ -86,8 +83,8 @@ class SolveOptions:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.ub_policy not in UB_POLICIES:
@@ -96,6 +93,10 @@ class SolveOptions:
             raise ValueError("chain_mode must be 'canonical' or 'randomized'")
         if self.sfm_method not in SFM_METHODS:
             raise ValueError(f"sfm_method must be one of {SFM_METHODS}")
+        if self.dr_coeff is not None and not 0 <= self.dr_coeff < math.inf:
+            raise ValueError(f"dr_coeff must be finite and >= 0, got {self.dr_coeff}")
+        if self.budget is not None and self.budget < 0:
+            raise ValueError(f"budget must be >= 0, got {self.budget}")
         if self.budget is not None and self.algorithm != "modmod":
             raise ValueError("a cardinality budget is supported by modmod only")
 
@@ -220,8 +221,6 @@ def _certify(p: DsProblem, x: tuple, vx: float, tol: float = DESCENT_TOL,
 
 def _resolve_dr_coeff(f: OracleFunction, opts: SolveOptions) -> float:
     if opts.dr_coeff is not None:
-        if opts.dr_coeff < 0:
-            raise ValueError("the quadratic split coefficient must be >= 0")
         return float(opts.dr_coeff)
     try:
         return dr_violation(f, cap=opts.cap)
@@ -254,42 +253,6 @@ def _solve_once(solver: Callable) -> Callable:
         return last_result
 
     return solve
-
-
-def _chain_bounds(g: OracleFunction) -> Callable:
-    """``chain_lower_bound`` of g at (x, chain), evaluating only the rows the last chain lacks.
-
-    A chain through y, canonical or randomized, raises coordinates up to y,
-    then up to k_max.  So the rows before the first coordinate where two
-    anchors differ, and the rows after the last one, are the same points at
-    the same positions in both chains.  g is fixed for a solve, so the
-    returned function keeps the last chain's points and values, finds the
-    first and the last row where a new chain differs from them (one
-    ``(r + 1, n)`` comparison), evaluates only the rows between them, in
-    one batch, and reads the others.  A value does not depend on its batch,
-    so the bound equals ``chain_lower_bound(g, x, chain)`` bit for bit, and
-    ``g.call_count`` counts only the rows evaluated.  A refused row raises
-    before the kept chain is replaced, so it is never kept.  The memo lives
-    as long as the returned function, one solve.
-    """
-    last_points = last_values = None
-
-    def bound(x: tuple, chain: Chain) -> SeparableFunction:
-        nonlocal last_points, last_values
-        _require_on_chain(chain, x)
-        points = chain.point_array()
-        if last_points is None:
-            values = g._batch(points)
-        else:
-            values = last_values.copy()
-            differ = np.flatnonzero((points != last_points).any(axis=1))
-            if differ.size:
-                rows = slice(differ[0], differ[-1] + 1)
-                values[rows] = g._batch(points[rows])
-        last_points, last_values = points, values
-        return _separable_along(g.domain, chain._incs, values)
-
-    return bound
 
 
 def _run_loop(p: DsProblem, opts: SolveOptions, propose: Callable) -> SolveReport:

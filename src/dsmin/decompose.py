@@ -65,9 +65,6 @@ class DsProblem:
     def v_oracle(self) -> OracleFunction:
         return self.f - self.g
 
-    def call_counts(self) -> dict:
-        return {"f": self.f.call_count, "g": self.g.call_count}
-
 
 @dataclass
 class MonotoneDecomposition:

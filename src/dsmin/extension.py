@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import random
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -310,8 +310,43 @@ def chain_lower_bound(f: OracleFunction, y, chain: Chain) -> SeparableFunction:
     y = d.require(y)
     if chain.domain != d:
         raise ValueError("chain domain does not match the function domain")
-    _require_on_chain(chain, y)
-    return _separable_along(d, chain._incs, f._batch(chain.point_array()))
+    return _chain_bounds(f)(y, chain)
+
+
+def _chain_bounds(g: OracleFunction) -> Callable:
+    """``chain_lower_bound`` of g at (x, chain), evaluating only the rows the last chain lacks.
+
+    The first chain evaluates its r + 1 rows in one batch.  A chain through
+    y, canonical or randomized, raises coordinates up to y, then up to
+    k_max.  So the rows before the first coordinate where two anchors
+    differ, and the rows after the last one, are the same points at the same
+    positions in both chains.  The returned function keeps the last chain's
+    points and values, finds the first and the last row where a new chain
+    differs from them (one ``(r + 1, n)`` comparison), evaluates only the
+    rows between them, in one batch, and reads the others.  A value does not
+    depend on its batch, so each bound equals ``chain_lower_bound(g, x,
+    chain)`` bit for bit, and ``g.call_count`` counts only the rows
+    evaluated.  A refused row raises before the kept chain is replaced, so
+    it is never kept.  The memo lives as long as the returned function.
+    """
+    last_points = last_values = None
+
+    def bound(x: tuple, chain: Chain) -> SeparableFunction:
+        nonlocal last_points, last_values
+        _require_on_chain(chain, x)
+        points = chain.point_array()
+        if last_points is None:
+            values = g._batch(points)
+        else:
+            values = last_values.copy()
+            differ = np.flatnonzero((points != last_points).any(axis=1))
+            if differ.size:
+                rows = slice(differ[0], differ[-1] + 1)
+                values[rows] = g._batch(points[rows])
+        last_points, last_values = points, values
+        return _separable_along(g.domain, chain._incs, values)
+
+    return bound
 
 
 def _require_on_chain(chain: Chain, y: tuple):

@@ -317,8 +317,9 @@ class _Combined(OracleFunction):
     The arithmetic operators build it: f + g and f - g (``np.add`` and
     ``np.subtract`` of two parents), f + c and f - c (of one parent and c),
     and c * f (``np.multiply``).  Its parents are evaluated through their
-    counting interface, on the array it was given, and its sweep combines
-    theirs.
+    counting interface, on the array it was given, so each counts every row
+    and refuses its own non-finite values before ``op`` combines them.  It
+    has no sweep form: a sweep evaluates each coordinate's rows as one batch.
     """
 
     def __init__(self, op, parent: OracleFunction, other):
@@ -330,14 +331,8 @@ class _Combined(OracleFunction):
         self._op = op
         super().__init__(parent.domain)
 
-    def _combine(self, parent_values: list) -> np.ndarray:
-        return self._op(*parent_values, *self._constant)
-
     def _batch_fn(self, X: np.ndarray) -> np.ndarray:
-        return self._combine([p._batch(X) for p in self._parents])
-
-    def _sweep(self) -> "_Sweep":
-        return _CombinedSweep(self)
+        return self._op(*[p._batch(X) for p in self._parents], *self._constant)
 
 
 def _sweep_terms(d: LatticeDomain, per_level: np.ndarray, op: np.ufunc, identity: float):
@@ -366,16 +361,17 @@ class _Sweep:
     At coordinate i, with the levels c_<i of the earlier coordinates chosen,
     ``rows()`` returns f at the a-rows (c_<i, l, 0, ..., 0) for
     l = 1..k_i - 1, then at the b-rows (c_<i, l, k_max_>i) for
-    l = 0..k_i - 2.  Every row counts as one call, on f and on every parent,
-    and a non-finite value is refused as by ``_batch``.  ``choose(l)`` sets
+    l = 0..k_i - 2, counted and checked as by ``_batch``.  ``choose(l)`` sets
     c_i = l and moves on to coordinate i + 1.
 
-    This form builds the rows and evaluates them as a batch.  An oracle with
-    a cheaper form returns a subclass from ``_sweep`` that carries what the
-    chosen levels contribute from one coordinate to the next.  Such a leaf
-    may pass ``bound``, a bound on the magnitude of every row that its own
-    arrays prove (inf when unknown); a composite's bound follows from its
-    parents'.  A node whose bound keeps its rows finite skips their check.
+    This form evaluates the rows as one batch of f, so they are the batch
+    values, and a composite's parents count every row and refuse their own
+    non-finite values before anything is combined.  A coverage or separable
+    leaf returns a subclass from ``_sweep`` whose ``_values`` carries what
+    the chosen levels contribute from one coordinate to the next.  It passes
+    ``bound``, a bound on the magnitude of every row that its own arrays
+    prove (inf when unknown), and skips the check of rows that bound keeps
+    finite.
     """
 
     def __init__(self, f: OracleFunction, bound: float = math.inf):
@@ -386,18 +382,9 @@ class _Sweep:
         self.finite = _bounded(bound)
 
     def rows(self) -> np.ndarray:
-        return self._raw(self.slices[len(self.chosen)])
-
-    def _raw(self, rows: slice) -> np.ndarray:
-        """The values at ``rows``, counted on f and every node below it.
-
-        A leaf refuses its own non-finite values here, before any composite
-        above it combines them.
-        """
+        rows = self.slices[len(self.chosen)]
         self.f._count(rows.stop - rows.start)
-        return self._checked(self._values(rows))
-
-    def _checked(self, values: np.ndarray) -> np.ndarray:
+        values = self._values(rows)
         if not self.finite and not _finite(values):
             self.f._refuse(values, self.points())
         return values
@@ -418,61 +405,25 @@ class _Sweep:
         return points
 
     def _values(self, rows: slice) -> np.ndarray:
+        """f's values at ``rows``, neither counted nor checked on f itself."""
         return self.f._values(self.points())
-
-
-class _CombinedSweep(_Sweep):
-    """A composite's rows, combined from its parents' raw sweep values.
-
-    Each node is counted just before its values are computed, parents in
-    order, and each leaf checks its own values, so a non-finite leaf is
-    refused, naming it, before any combine runs.  The composites between the
-    leaves and the top are not checked; the top checks what they combine to,
-    unless its bound proves it finite.  The bound of f + g and f - g is the
-    sum of the parents' bounds, that of f + c adds |c|, and that of c * f is
-    |c| times f's (NaN, so unproven, for 0 * inf).
-    """
-
-    def __init__(self, f: _Combined):
-        self.parents = [p._sweep() for p in f._parents]
-        bounds = [sweep.bound for sweep in self.parents]
-        if f._op is np.multiply:
-            bound = abs(f._constant[0]) * bounds[0]
-        else:
-            bound = sum(bounds) + sum(abs(c) for c in f._constant)
-        super().__init__(f, bound)
-
-    def rows(self) -> np.ndarray:
-        return self._checked(super().rows())
-
-    def _raw(self, rows: slice) -> np.ndarray:
-        self.f._count(rows.stop - rows.start)
-        return self.f._combine([sweep._raw(rows) for sweep in self.parents])
-
-    def choose(self, level: int):
-        for sweep in self.parents:
-            sweep.choose(level)
-        super().choose(level)
 
 
 class _RememberedRows(OracleFunction):
     """A view of g whose sweeps remember g's rows by the levels chosen before them.
 
     A sweep row of g at coordinate i depends only on the chosen levels c_<i,
-    so the double greedy runs of g - m_1, g - m_2, ... ask g again for rows
-    they have had.  supsub runs them as ``double_greedy_maximize(view, m)``,
-    which reads the view's rows and subtracts m's.  The view keeps each
-    coordinate's rows, the arrays g's own sweep computed, in a trie keyed by
-    the chosen levels.  A sweep through the view reads a remembered
-    coordinate and evaluates nothing below it; at a prefix not seen yet it
-    catches g's own sweep up with the chosen levels and keeps the rows that
-    sweep returns, checked as without the view.  A refused row is not kept.
-    The view's sweep takes the bound of g's own, for a composite above it or
-    for double greedy's check of g - m.  So ``g.call_count`` counts the rows
-    evaluated, while a composite above the view (``view - m``) counts every
-    row it combines.  A batch is g's batch: only sweeps read the
-    remembered rows, since a b-row may differ from the batch value in the
-    last bit.  The memo lives as long as the view.
+    and supsub's double greedy runs ``double_greedy_maximize(view, m)`` ask
+    for rows at prefixes they have had.  The view keeps each coordinate's
+    rows, as g's own sweep computed and checked them, in a trie keyed by the
+    chosen levels.  A sweep through the view reads a remembered coordinate
+    and evaluates nothing; at a prefix not seen yet it catches g's own sweep
+    up with the chosen levels and keeps the rows that sweep returns.  A
+    refused row is not kept.  So ``g.call_count`` counts the rows evaluated.
+    The view's sweep takes the bound of g's own, for double greedy's check of
+    g - m.  A batch of the view is g's batch, and a composite above the view
+    evaluates batches, never the remembered rows.  The memo lives as long as
+    the view.
     """
 
     def __init__(self, g: OracleFunction):
@@ -496,7 +447,7 @@ class _RememberedSweep(_Sweep):
         self.node = f._root
         self.inner = None  # g's own sweep, made at the first prefix not remembered
 
-    def _raw(self, rows: slice) -> np.ndarray:
+    def rows(self) -> np.ndarray:
         values = self.node[0]
         if values is None:
             if self.inner is None:

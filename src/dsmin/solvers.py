@@ -116,48 +116,47 @@ def double_greedy_maximize(g: OracleFunction, m: Optional[SeparableFunction] = N
     ``lattice._Sweep``).  The new a and b are rows of the sweep or
     unchanged, so their values are carried forward, and the returned value
     is the carried h(a).  That is exactly 2 + 2 * sum_i (k_i - 1) calls of
-    g.  m is never called: its values are read from its prefix tables, its
-    rows by ``lattice._SeparableSweep.floats``, and subtracted from g's as
-    Python floats, which round as the composite's numpy arrays do.  So
-    ``double_greedy_maximize(g, m)`` returns ``double_greedy_maximize(g - m)``
-    bit for bit, with the same calls of g.  supsub passes its bound m_f so,
-    with a view of its g that remembers g's rows across the runs of one
-    solve (``lattice._RememberedRows``): g counts only the rows evaluated.
+    g.  m's type and domain are checked before g is called, and m is never
+    called: its values are read from its prefix tables, its rows by
+    ``lattice._SeparableSweep.floats``, and subtracted from g's as Python
+    floats.  supsub passes its bound m_f so, with a view of its g that
+    remembers g's rows across the runs of one solve
+    (``lattice._RememberedRows``): g counts only the rows evaluated.
 
     g's rows are checked as g's own sweep checks them, so a non-finite value
     of g is refused by g before anything is subtracted.  The values of g - m
-    are checked as the composite checks them: not at all when the bounds of
-    g's and m's sweeps prove them finite, else each coordinate's rows, where
-    a non-finite value of m is refused by m and one of the difference raises
-    a ValueError naming g and m.
+    are checked unless the bounds of g's and m's sweeps prove them finite:
+    a non-finite value of m is refused by m, and one of the difference
+    raises a ValueError naming g and m.
 
     Each coordinate's rows are compared as Python floats: the gains one by
     one, and the first best level on each side by ``max`` and ``index``.
 
-    An oracle with its own sweep form (coverage, separable functions and
-    their +, -, + c and c * composites, nested to any depth) carries the
-    chosen levels from one coordinate to the next.  Its a-rows are the batch
-    values bit for bit, and so is the returned value.  Its b-rows take the
-    later coordinates' top levels as one suffix sum or product, so the
-    b-side gains, compared within this call and never returned, may differ
-    from the batch ones in the last bit: a choice could differ only between
-    gains equal to within rounding.
+    A coverage or separable sweep, g's or m's, carries the chosen levels
+    from one coordinate to the next.  Its a-rows are the batch values bit
+    for bit, and so is the returned value.  Its b-rows take the later
+    coordinates' top levels as one suffix sum or product, so the b-side
+    gains, compared within this call and never returned, may differ from
+    the batch ones in the last bit: a choice could differ only between gains
+    equal to within rounding.  Any other oracle's rows, a composite's
+    included, are its batch values.
 
     For nonnegative submodular h the returned value is at least 1/3 of the
     maximum; the factor is inherited from the classical double greedy and
     checked empirically by the test suite.
     """
+    if m is not None:
+        if not isinstance(m, SeparableFunction):
+            raise TypeError(f"m must be a SeparableFunction, got {type(m).__name__}")
+        _same_domain(g, m)
     d = g.domain
     ends = np.stack([np.zeros(d.n, dtype=np.int64), d._k_max])
     ga, gb = g._batch(ends).tolist()
     sweep = g._sweep()
     if m is not None:
-        if not isinstance(m, SeparableFunction):
-            raise TypeError(f"m must be a SeparableFunction, got {type(m).__name__}")
-        _same_domain(g, m)
         m_sweep = m._sweep()
         ga, gb = _difference(g, m, [ga, gb], m.values_at(ends).tolist(), lambda: ends)
-        # the composite's rule: rows its parents' bounds prove finite are not checked
+        # rows that the bounds of g's and m's sweeps prove finite are not checked
         checked = not _bounded(sweep.bound + m_sweep.bound)
     # at coordinate i, a_i = 0 and b_i = top: the a-rows raise a_i to 1..top,
     # the b-rows lower b_i to 0..top - 1

@@ -207,6 +207,15 @@ class TestDescentAndTraces:
         with pytest.raises(ValueError):
             d.SolveOptions(algorithm="subsup", budget=2)
 
+    @pytest.mark.parametrize("algorithm,field,value", [
+        ("modmod", "epsilon", math.nan), ("modmod", "epsilon", math.inf),
+        ("modmod", "epsilon", -0.1), ("supsub", "dr_coeff", math.inf),
+        ("modmod", "dr_coeff", math.nan), ("subsup", "dr_coeff", -1.0),
+        ("modmod", "budget", -1)])
+    def test_bad_values_rejected_up_front(self, algorithm, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            d.SolveOptions(algorithm=algorithm, **{field: value})
+
     def test_unknown_sfm_method_rejected_up_front(self):
         with pytest.raises(ValueError, match="sfm_method"):
             d.SolveOptions(algorithm="subsup", sfm_method="magic")
@@ -322,13 +331,13 @@ def _counted_solve(monkeypatch, p, opts, memo=True):
                 return _real(*args)
             m.setattr(d.algorithms, name, counted)
 
-        def raw(sweep, rows, _real=d.lattice._RememberedSweep._raw):
+        def rows(sweep, _real=d.lattice._RememberedSweep.rows):
             before = sweep.f.g.call_count
-            values = _real(sweep, rows)
+            values = _real(sweep)
             if sweep.f.g.call_count == before:
-                served.append(rows.stop - rows.start)
+                served.append(values.size)
             return values
-        m.setattr(d.lattice._RememberedSweep, "_raw", raw)
+        m.setattr(d.lattice._RememberedSweep, "rows", rows)
 
         def chain_bounds(g, _real=d.algorithms._chain_bounds):
             bound = _real(g)

@@ -328,8 +328,9 @@ def test_double_greedy_matches_reference_and_call_count(sizes, seed):
 @given(sizes=sizes_st, seed=st.integers(0, 10**6))
 def test_sweep_a_rows_equal_batch_bitwise_and_count_rows(sizes, seed):
     """Every kind's sweep, along random chosen levels: its a-rows are the batch
-    values bit for bit, its b-rows agree up to rounding, and each row counts one
-    call on the oracle and on each parent."""
+    values bit for bit, its b-rows agree up to rounding (bit for bit for a kind
+    without a sweep form of its own, composites included), and each row counts
+    one call on the oracle and on each parent."""
     chosen = np.random.default_rng(seed + 2).integers(0, sizes).tolist()
     top = [k - 1 for k in sizes]
     for label, fn, parents in _kinds(sizes, seed):
@@ -346,6 +347,8 @@ def test_sweep_a_rows_equal_batch_bitwise_and_count_rows(sizes, seed):
             assert [b - a for a, b in zip(before, after)] == [2 * (k - 1)] * len(after), label
             expected = fn._batch(points)
             assert values[:k - 1].tobytes() == expected[:k - 1].tobytes(), label
+            if type(sweep) is d.lattice._Sweep:
+                assert values.tobytes() == expected.tobytes(), label
             np.testing.assert_allclose(values[k - 1:], expected[k - 1:], rtol=1e-12, atol=1e-12)
             sweep.choose(chosen[i])
 
@@ -392,8 +395,9 @@ def _nested(sizes, seed, inf_at=None):
 @given(sizes=sizes_st, seed=st.integers(0, 10**6))
 def test_nested_composite_sweep_counts_every_node_and_matches_batch(sizes, seed):
     """A sweep through two composite layers: each of the five nodes counts
-    2(k_i - 1) calls per coordinate, the a-rows are the batch values bit for
-    bit, and double greedy makes 2 + 2 * sum(k_i - 1) calls on every node."""
+    2(k_i - 1) calls per coordinate, the a-rows and the b-rows are the batch
+    values bit for bit, and double greedy makes 2 + 2 * sum(k_i - 1) calls on
+    every node."""
     top, nodes = _nested(sizes, seed)
     chosen = np.random.default_rng(seed + 2).integers(0, sizes).tolist()
     sweep = top._sweep()
@@ -402,9 +406,7 @@ def test_nested_composite_sweep_counts_every_node_and_matches_batch(sizes, seed)
         before = [o.call_count for o in nodes]
         values = sweep.rows()
         assert [o.call_count - c for o, c in zip(nodes, before)] == [2 * (k - 1)] * 5
-        expected = top._batch(points)
-        assert values[:k - 1].tobytes() == expected[:k - 1].tobytes()
-        np.testing.assert_allclose(values[k - 1:], expected[k - 1:], rtol=1e-12, atol=1e-12)
+        assert values.tobytes() == top._batch(points).tobytes()
         sweep.choose(chosen[i])
     top, nodes = _nested(sizes, seed)
     ref = _counted(_nested(sizes, seed)[0])
@@ -466,35 +468,27 @@ def test_a_coverage_sweep_proves_its_rows_finite_only_with_bounded_weights():
         sweep.rows()
 
 
-def test_a_composite_of_proven_leaves_checks_no_row(monkeypatch):
-    """g - s and view - s add their parents' bounds, a coverage g's and a
-    separable s's, so their sweeps check no row.  1e300 * (g - s) multiplies
-    that bound by 1e300, which proves nothing: the composite checks each
-    coordinate's rows, and refuses the rows it scales to inf."""
+def test_a_composite_checks_its_rows_at_every_node(monkeypatch):
+    """A composite's sweep evaluates its rows as one batch, so each node, the
+    coverage g and the separable s included, checks its own rows.
+    1e300 * (g - 1e9 * s) refuses the rows it scales to -inf."""
     problem = _coverage_g([3, 4, 2], 7)
     dom = problem.domain
     s = d.SeparableFunction(dom, 0.5, [np.full(k - 1, 0.25) for k in dom.sizes])
     checks = []
     finite = d.lattice._finite
     monkeypatch.setattr(d.lattice, "_finite", lambda v: checks.append(len(v)) or finite(v))
-
-    def sweep_all(top):
-        sweep = top._sweep()
-        for level in (1, 2, 0):
-            sweep.rows()
-            sweep.choose(level)
-        return sweep
-
-    for top in (problem.g - s, d.lattice._RememberedRows(problem.g) - s):
-        assert sweep_all(top).finite
-    assert checks == []
-    assert not sweep_all(1e300 * (problem.g - s)).finite
-    assert checks == [2 * (k - 1) for k in dom.sizes]
+    sweep = (1e300 * (problem.g - s))._sweep()
+    for level in (1, 2, 0):
+        sweep.rows()
+        sweep.choose(level)
+    assert checks == [2 * (k - 1) for k in dom.sizes for _node in range(4)]
+    checks.clear()
     overflowing = 1e300 * (problem.g - 1e9 * s)  # 1e9 * s is separable, bounded by 2e9
     with np.errstate(over="ignore"), pytest.raises(
             ValueError, match=re.escape(f"{overflowing!r} returned -inf at point (1, 0, 0)")):
         overflowing._sweep().rows()
-    assert checks[3:] == [4]
+    assert checks == [4] * 4
 
 
 def _paths(sizes, seed):
@@ -511,10 +505,12 @@ def _paths(sizes, seed):
 @settings(max_examples=30, deadline=None)
 @given(sizes=sizes_st, seed=st.integers(0, 10**6))
 def test_remembered_rows_are_the_rows_a_fresh_sweep_computes(sizes, seed):
-    """Sweeps of view - s along paths that share prefixes, for a coverage, a
-    table and a composite g: each of g's rows, remembered or not, is bit for bit the row a fresh
-    sweep of g computes at that prefix; g counts only the rows evaluated at a
-    prefix not seen before, and the composite counts every row it combines."""
+    """Sweeps of a view along paths that share prefixes, for a coverage, a
+    table and a composite g: each of g's rows, remembered or not, is bit for
+    bit the row a fresh sweep of g computes at that prefix, and g counts only
+    the rows evaluated at a prefix not seen before.  Double greedy of the
+    view and s then gives the result of g and s, and g counts 2 plus the
+    rows at prefixes no sweep chose."""
     problem = _coverage_g(sizes, seed)
     dom = problem.domain
     rng = np.random.default_rng(seed + 1)
@@ -524,29 +520,29 @@ def test_remembered_rows_are_the_rows_a_fresh_sweep_computes(sizes, seed):
         view = d.lattice._RememberedRows(g)
         seen = set()
         for path in _paths(sizes, seed):
-            top = view - s
-            sweep, fresh, fresh_s = top._sweep(), g._sweep(), s._sweep()
+            sweep, fresh = view._sweep(), g._sweep()
             for i, k in enumerate(sizes):
-                rows = 2 * (k - 1)
-                before = g.call_count, top.call_count
+                before = g.call_count
                 values = sweep.rows()
-                assert (g.call_count - before[0], top.call_count - before[1]) == (
-                    0 if tuple(path[:i]) in seen else rows, rows)
-                remembered = sweep.parents[0].node[0]
-                assert remembered.tobytes() == fresh.rows().tobytes()
-                assert values.tobytes() == (remembered - fresh_s.rows()).tobytes()
+                assert g.call_count - before == (0 if tuple(path[:i]) in seen else 2 * (k - 1))
+                assert values is sweep.node[0]
+                assert values.tobytes() == fresh.rows().tobytes()
                 seen.add(tuple(path[:i]))
                 sweep.choose(path[i])
                 fresh.choose(path[i])
-                fresh_s.choose(path[i])
+        expected = d.double_greedy_maximize(g, s)
+        before = g.call_count
+        point, value = d.double_greedy_maximize(view, s)
+        assert bits((point, value)) == bits(expected)
+        unseen = [2 * (k - 1) for i, k in enumerate(sizes) if point[:i] not in seen]
+        assert g.call_count - before == 2 + sum(unseen)
 
 
 def test_a_refused_row_is_not_remembered():
     """g is +inf at (0, 1), or a composite that overflows there, and double
-    greedy reaches (0, 1) at coordinate 1: each run refuses it with the same
-    message (g's own, or the top's for what a composite combines to).  The
-    second run reads coordinate 0's rows from the memo and evaluates
-    coordinate 1's again."""
+    greedy of the view and m reaches (0, 1) at coordinate 1: each run refuses
+    it with g's own message.  The second run reads coordinate 0's rows from
+    the memo and evaluates coordinate 1's again."""
     dom = d.LatticeDomain([3, 3])
     values = np.zeros(dom.num_points)
     values[dom.flat_index((0, 1))] = np.inf
@@ -556,12 +552,10 @@ def test_a_refused_row_is_not_remembered():
     for g in (table, overflowing):
         view = d.lattice._RememberedRows(g)
         for calls in (2 + 4 + 4, 2 + 4):
-            top = view - d.SeparableFunction.zero(dom)
-            refusing = g if g is table else top
             before = g.call_count
             with np.errstate(over="ignore"), pytest.raises(
-                    ValueError, match=re.escape(f"{refusing!r} returned inf at point (0, 1)")):
-                d.double_greedy_maximize(top)
+                    ValueError, match=re.escape(f"{g!r} returned inf at point (0, 1)")):
+                d.double_greedy_maximize(view, d.SeparableFunction.zero(dom))
             assert g.call_count - before == calls
             assert view._root[0] is not None and view._root[1][0][0] is None
 
@@ -569,15 +563,16 @@ def test_a_refused_row_is_not_remembered():
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("curve", [(0.0, 0.0, 0.0, 0.0), (0.3, -0.3, 0.2, -0.2)])
 def test_double_greedy_zero_gain_coordinate_matches_reference(seed, curve):
-    """A coverage coordinate whose probabilities are all 0, minus a separable
-    function with the increments ``curve`` there.  Flat, every level ties
+    """A coverage g with a coordinate whose probabilities are all 0, and a
+    separable m with the increments ``curve`` there.  Flat, every level ties
     exactly on both sides; with the levels 0, 0.3, 0, 0.2, 0, raising a gains
     exactly 0 at levels 2 and 4 and lowering b exactly 0 at levels 0 and 2 in
-    the batch form.  The sweep's b-rows may differ from the carried g(b) in
-    the last bits (seed 0 lowers by -8.9e-16, seed 8 gains a positive
-    rounding error), but they are equal bit for bit where the levels are, so
-    the first best lowering is level 0: double greedy keeps a_i = 0 either
-    way, as the reference does."""
+    the batch form.  g's sweep rows less m's may differ in the b-rows from
+    the carried g(b) - m(b) in the last bits (seed 0 lowers by -8.9e-16,
+    seed 8 gains a positive rounding error), but they are equal bit for bit
+    where the levels are, so the first best lowering is level 0: double
+    greedy of g and m keeps a_i = 0 either way, as double greedy of the
+    composite g - m, whose rows are batch values, and the reference do."""
     sizes = [4, 3, 4, 3]
     zero = seed % len(sizes)
     sizes[zero] = 5
@@ -588,17 +583,19 @@ def test_double_greedy_zero_gain_coordinate_matches_reference(seed, curve):
     rng = np.random.default_rng(seed)
     tables = [rng.uniform(0, 0.6, size=k - 1) for k in sizes]
     tables[zero] = np.array(curve)
-    g = problem.g - d.SeparableFunction(problem.domain, 0.0, tables)
-    point, value = d.double_greedy_maximize(g)
-    assert bits((point, value)) == bits(_ref_double_greedy(_counted(g)))
-    assert point[zero] == 0
-    sweep = g._sweep()
+    g, m = problem.g, d.SeparableFunction(problem.domain, 0.0, tables)
+    expected = bits(_ref_double_greedy(_counted(g - m)))
+    for point, value in (d.double_greedy_maximize(g, m), d.double_greedy_maximize(g - m)):
+        assert bits((point, value)) == expected
+        assert point[zero] == 0
+    g_sweep, m_sweep = g._sweep(), m._sweep()
     for level in point[:zero]:
-        sweep.choose(level)
-    values = sweep.rows()
+        g_sweep.choose(level)
+        m_sweep.choose(level)
+    values = g_sweep.rows() - m_sweep.rows()
     levels = np.concatenate(([0.0], np.cumsum(curve)))
     ups, downs = values[:4], values[4:]
-    ga = g(point[:zero] + (0,) * (len(sizes) - zero))
+    ga = (g - m)(point[:zero] + (0,) * (len(sizes) - zero))
     assert (ups == ga).tolist() == (levels[1:] == 0.0).tolist()
     assert (downs[:, None] == downs).tolist() == (levels[:4, None] == levels[:4]).tolist()
 
@@ -639,10 +636,36 @@ def _separable_ms(dom, seed, integer):
     return ms
 
 
+def _ref_double_greedy_of_rows(g, m):
+    """``_ref_double_greedy``'s rule on g - m, read from g's and m's own sweeps:
+    the start values and each coordinate's rows of g less m's, carried as the
+    levels are chosen, with no composite of g and m."""
+    dom = g.domain
+    ends = [dom.zero, dom.k_max]
+    ga, gb = (g.batch(ends) - m.batch(ends)).tolist()
+    g_sweep, m_sweep = g._sweep(), m._sweep()
+    for top in dom.k_max:
+        values = (g_sweep.rows() - m_sweep.rows()).tolist()
+        up_gain, up_level, down_gain, down_level = 0.0, 0, 0.0, top
+        for level in range(top + 1):
+            if level != 0 and values[level - 1] - ga > up_gain:
+                up_gain, up_level = values[level - 1] - ga, level
+            if level != top and values[top + level] - gb > down_gain:
+                down_gain, down_level = values[top + level] - gb, level
+        chosen = up_level if up_gain >= down_gain else down_level
+        if chosen != 0:
+            ga = values[chosen - 1]
+        if chosen != top:
+            gb = values[top + chosen]
+        g_sweep.choose(chosen)
+        m_sweep.choose(chosen)
+    return tuple(g_sweep.chosen), ga
+
+
 @settings(max_examples=40, deadline=None)
 @given(sizes=sizes_st, seed=st.integers(0, 10**6), integer=st.booleans())
-def test_double_greedy_of_g_and_m_equals_the_composite(sizes, seed, integer):
-    """``double_greedy_maximize(g, m)`` is ``double_greedy_maximize(g - m)``
+def test_double_greedy_of_g_and_m_matches_the_reference_on_the_sweeps(sizes, seed, integer):
+    """``double_greedy_maximize(g, m)`` is ``_ref_double_greedy_of_rows(g, m)``
     bit for bit, for a coverage, a table (integer-valued when ``integer``, so
     gains tie), a composite and a ``_RememberedRows`` view of each, with m's
     that share prefixes.  g makes 2 + 2 * sum(k_i - 1) calls; through the view,
@@ -658,7 +681,7 @@ def test_double_greedy_of_g_and_m_equals_the_composite(sizes, seed, integer):
         view = d.lattice._RememberedRows(g)
         seen = set()
         for m in _separable_ms(dom, seed + 2, integer):
-            expected = d.double_greedy_maximize(g - m)
+            expected = _ref_double_greedy_of_rows(g, m)
             before, m_before = g.call_count, m.call_count
             assert bits(d.double_greedy_maximize(g, m)) == bits(expected)
             assert g.call_count - before == per_run
@@ -674,7 +697,7 @@ def test_double_greedy_of_g_and_m_equals_the_composite(sizes, seed, integer):
 def test_double_greedy_of_g_and_m_refuses_what_the_composite_refuses():
     """A g - m that overflows raises a ValueError naming g and m, at the start
     (g(k_max) - m(k_max)) or in a sweep row; an inf in m is refused by m.  m
-    must be a separable function on g's domain."""
+    must be a separable function on g's domain, checked before g is called."""
     dom = d.LatticeDomain([3, 2])
     at_top = d.TableFunction(dom, [0.0] * 5 + [1e308])
     in_row = d.TableFunction(dom, [0.0, 0.0, 1e308, 0.0, 0.0, 0.0])  # (1, 0), an a-row
@@ -689,10 +712,12 @@ def test_double_greedy_of_g_and_m_refuses_what_the_composite_refuses():
     with pytest.raises(ValueError, match=re.escape(f"{infinite!r} returned inf at point (2, 1)")):
         d.double_greedy_maximize(d.TableFunction(dom, np.zeros(6)), infinite)
     assert infinite.call_count == 0
+    before = at_top.call_count
     with pytest.raises(TypeError, match="SeparableFunction"):
         d.double_greedy_maximize(at_top, at_top)
     with pytest.raises(ValueError, match="domain mismatch"):
         d.double_greedy_maximize(at_top, d.SeparableFunction.zero(d.LatticeDomain([3, 3])))
+    assert at_top.call_count == before  # m is refused before g is called
 
 
 def test_double_greedy_of_g_and_m_checks_the_rows_the_bounds_leave_unproven(monkeypatch):

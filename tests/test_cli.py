@@ -8,6 +8,11 @@ import dsmin as d
 from dsmin.cli import cli_run
 
 
+def _trusted(slot):
+    """The warning that a component above the cap is not checked for submodularity."""
+    return pytest.warns(UserWarning, match=f"submodularity of '{slot}'; the declaration is trusted")
+
+
 @pytest.fixture
 def toy_file(tmp_path):
     dom = d.LatticeDomain([3, 3])
@@ -93,6 +98,17 @@ class TestSolve:
         assert "certified_local_min" not in captured.out
         assert "status" not in captured.out
 
+    @pytest.mark.parametrize("flags,field", [
+        (["--epsilon", "nan"], "epsilon"), (["--lambda", "nan"], "dr_coeff"),
+        (["--lambda", "-1"], "dr_coeff"), (["--budget", "-1"], "budget")])
+    def test_bad_option_exit_2(self, toy_file, capsys, flags, field):
+        assert cli_run(["solve", toy_file, "--algorithm", "modmod", *flags]) == 2
+        captured = capsys.readouterr()
+        record = json.loads(captured.err.splitlines()[-1])
+        assert record["error"]["type"] == "ValueError"
+        assert record["error"]["message"].startswith(f"{field} must be")
+        assert "status" not in captured.out
+
     def test_missing_file_exit_2(self, capsys):
         assert cli_run(["solve", "/nonexistent/problem.json"]) == 2
 
@@ -144,13 +160,15 @@ class TestOtherCommands:
         assert lower["tables"] == [[1.0, 1.0], [1.0, 1.0]]
 
     def test_cap_exceeded_exit_3(self, toy_file, capsys):
-        assert cli_run(["--cap", "4", "oracle", toy_file]) == 3
+        with _trusted("f"), _trusted("g"):
+            assert cli_run(["--cap", "4", "oracle", toy_file]) == 3
         record = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert record["error"]["type"] == "CapExceededError"
 
     def test_cap_env_override(self, toy_file, monkeypatch, capsys):
         monkeypatch.setenv("DSMIN_CAP", "4")
-        assert cli_run(["oracle", toy_file]) == 3
+        with _trusted("f"), _trusted("g"):
+            assert cli_run(["oracle", toy_file]) == 3
         capsys.readouterr()
 
     def test_bench(self, tmp_path, capsys):

@@ -74,7 +74,8 @@ class TestBuildProblem:
         spec["auto_split"] = {"n_bound": 0.1}
         with pytest.raises(d.DsConstructionError, match="n_bound=0.1 too small"):
             d.build_problem(spec)
-        with pytest.warns(UserWarning, match="constructed f; n_bound=0.1 is trusted"):
+        with pytest.warns(UserWarning, match="submodularity of 'g'; the declaration is trusted"), \
+                pytest.warns(UserWarning, match="constructed f; n_bound=0.1 is trusted"):
             d.build_problem(spec, cap=4)
 
     def test_malformed_sizes(self):
