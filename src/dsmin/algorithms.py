@@ -429,8 +429,8 @@ def predicted_iteration_bound(p: DsProblem, epsilon: float,
     already as good as the scale argument can certify.  A monotone part
     vanishes at 0 by construction, so f'(0) = 0 and f is not decomposed.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
+    if not 0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     _, mono_g = monotone_form(p.g, cap=cap)
     big_m = 0.0 - mono_g(p.domain.k_max)
     if v_x1 is None:

@@ -34,6 +34,7 @@ diminishing returns).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,9 +89,13 @@ def dr_split(f: OracleFunction, coeff: float) -> DrDecomposition:
 
 
 def _quadratic_increments(d: LatticeDomain, coeff: float) -> np.ndarray:
-    """The increments of coeff * sum_i x_i^2: coeff * (2j - 1) at level j."""
-    if coeff < 0:
-        raise ValueError(f"quadratic coefficient must be >= 0, got {coeff}")
+    """The increments of coeff * sum_i x_i^2: coeff * (2j - 1) at level j.
+
+    A NaN, infinite or negative coeff raises a ValueError naming it, before
+    anything is evaluated.
+    """
+    if not 0 <= coeff < math.inf:
+        raise ValueError(f"quadratic coefficient must be finite and >= 0, got {coeff}")
     return coeff * (2.0 * d._levels[d._rises] - 1.0)
 
 

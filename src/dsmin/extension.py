@@ -95,10 +95,7 @@ class Profile:
 
     def points_at(self, thresholds) -> np.ndarray:
         """Row k holds the level of every coordinate at thresholds[k] (see level_at)."""
-        ts = np.asarray(thresholds, dtype=float).reshape(-1)
-        outside = ~((ts > 0.0) & (ts <= 1.0))
-        if outside.any():
-            raise ValueError(f"threshold must lie in (0, 1], got {ts[np.argmax(outside)]}")
+        ts = _thresholds(thresholds)
         # each coordinate's count of weights >= t
         return np.add.reduceat(self._flat[None, :] >= ts[:, None],
                                self.domain._increment_offsets, axis=1, dtype=np.int64)
@@ -117,6 +114,15 @@ class Profile:
 
     def __repr__(self):
         return f"Profile({[np.round(v, 4).tolist() for v in self.levels]})"
+
+
+def _thresholds(thresholds) -> np.ndarray:
+    """``thresholds`` as a float array, or a ValueError naming the first outside (0, 1]."""
+    ts = np.asarray(thresholds, dtype=float).reshape(-1)
+    outside = ~((ts > 0.0) & (ts <= 1.0))
+    if outside.any():
+        raise ValueError(f"threshold must lie in (0, 1], got {ts[np.argmax(outside)]}")
+    return ts
 
 
 def profile_from_point(domain: LatticeDomain, y) -> Profile:
@@ -168,21 +174,36 @@ def greedy_extension(f: OracleFunction, profile: Profile):
     d = f.domain
     if profile.domain != d:
         raise ValueError("profile domain does not match the function domain")
+    order, walk, points = _greedy_walk(profile)
+    values = f._batch(points)
+    # accumulated in walk order, one entry at a time
+    gains = values[1:] - values[:-1]
+    value = np.cumsum(np.concatenate((values[:1], profile._flat[order] * gains)))[-1]
+    return float(value), _separable_along(d, walk, values)
+
+
+def _greedy_walk(profile: Profile):
+    """The walk of ``greedy_extension`` at ``profile``: (order, walk, points).
+
+    ``order`` lists the entries, as indices in (coordinate, level) order, by
+    decreasing weight; equal weights keep (coordinate, level) order, so ties
+    within a coordinate keep increasing-level order and ties across
+    coordinates break by ascending index.  ``walk`` holds their coordinates
+    and ``points`` the (r+1, n) lattice path from 0 raising them in turn.
+    Raises a ValueError when two levels of one coordinate rise by more than
+    PROFILE_TOL.
+    """
+    d = profile.domain
     weights = profile._flat
-    coords, levels = d._level_coords[d._rises], d._levels[d._rises]
+    coords = d._level_coords[d._rises]
     # a rise between two levels of one coordinate
-    rising = (np.diff(weights) > PROFILE_TOL) & (coords[1:] == coords[:-1])
+    rising = (weights[1:] - weights[:-1] > PROFILE_TOL) & (coords[1:] == coords[:-1])
     if rising.any():
         i = int(coords[np.argmax(rising)])
         raise ValueError(f"profile coordinate {i} is not non-increasing: {profile.levels[i]}")
-
-    # entries in (coordinate, level) order, sorted by decreasing weight
-    order = np.lexsort((levels, coords, -weights))
+    order = np.argsort(-weights, kind="stable")
     walk = coords[order]
-    values = f._batch(_walk(d, walk))
-    # accumulated in walk order, one entry at a time
-    value = np.cumsum(np.concatenate((values[:1], weights[order] * np.diff(values))))[-1]
-    return float(value), _separable_along(d, walk, values)
+    return order, walk, _walk(d, walk)
 
 
 def _walk(domain: LatticeDomain, increments: np.ndarray) -> np.ndarray:
@@ -196,11 +217,19 @@ def _separable_along(domain: LatticeDomain, increments: np.ndarray,
                      values: np.ndarray) -> SeparableFunction:
     """The separable function equal to ``values`` along the walk from 0 raising ``increments``.
 
-    Its constant is values[0]; the j-th raise of coordinate i reaches level j,
-    so that level's increment is the gain of that step.
+    Its constant is values[0]; its increments are ``_gains_along``.
     """
-    gains = np.diff(values)[np.argsort(increments, kind="stable")]
-    return SeparableFunction._of_increments(domain, float(values[0]), gains)
+    return SeparableFunction._of_increments(domain, float(values[0]),
+                                            _gains_along(increments, values))
+
+
+def _gains_along(increments: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The gains of the walk's steps in (coordinate, level) order.
+
+    The j-th raise of coordinate i reaches level j, so that level's
+    increment is the gain of that step.
+    """
+    return (values[1:] - values[:-1])[np.argsort(increments, kind="stable")]
 
 
 class Chain:

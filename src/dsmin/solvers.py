@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .extension import Profile, greedy_extension
+from .extension import Profile, _gains_along, _greedy_walk, _thresholds
 from .lattice import (LatticeDomain, OracleFunction, SeparableFunction, _bounded, _same_domain,
                       _Tabulation)
 
@@ -217,6 +217,14 @@ def pav_nonincreasing(values) -> np.ndarray:
 
 def _pav(values: list) -> list:
     """``pav_nonincreasing`` over Python floats, which add and divide as numpy's doubles do."""
+    out = []
+    for s, c in zip(*_pav_blocks(values)):
+        out += [s / c] * c
+    return out
+
+
+def _pav_blocks(values: list):
+    """The pooled blocks of ``_pav``: their sums and their lengths, in order."""
     sums = []
     counts = []
     for v in values:
@@ -227,10 +235,7 @@ def _pav(values: list) -> list:
             s, c = sums.pop(), counts.pop()
             sums[-1] += s
             counts[-1] += c
-    out = []
-    for s, c in zip(sums, counts):
-        out += [s / c] * c
-    return out
+    return sums, counts
 
 
 def project_profile(profile: Profile) -> Profile:
@@ -270,27 +275,50 @@ class SfmResult:
     duality_info: Optional[dict] = None
 
 
-def _round_and_extend(f: OracleFunction, profile: Profile):
-    """The best threshold rounding of ``profile``, its value, and the extension value there.
+def _round_and_extend(f: OracleFunction, weights: np.ndarray, points: np.ndarray):
+    """The best threshold rounding of a profile, read off a greedy walk.
 
-    Evaluates x(t) at every distinct breakpoint t, in one batch; the best of
-    these never exceeds the extension value at profile, because the extension
-    is an average of exactly these points.  Ties go to the smallest point.
-    x(t) equals x(t_k) for t in (t_{k-1}, t_k] between consecutive
-    breakpoints (t_0 = 0), so the extension is the sum of those interval
-    lengths times the values; no further oracle calls are made.
+    ``weights`` are the profile's entries in the order of ``points``, the walk
+    (``extension._greedy_walk``) at a profile whose entries sort as these do:
+    the profile itself, or rho for rho's rounding profile.  So at every
+    breakpoint t (the distinct entries in (0, 1] and 1.0, checked as
+    ``Profile.points_at`` checks thresholds) the point x(t) is the walk's row
+    sum(x(t)), and distinct breakpoints give distinct rows.  Those rows are
+    evaluated in one batch.  The best never exceeds the extension value, an
+    average of exactly these points: x(t) is x(t_k) on (t_{k-1}, t_k]
+    (t_0 = 0), so it is the sum of those lengths times the values.  Ties go
+    to the smallest point.
+
+    Returns (rows, values, point, value, extension value).
     """
-    ts = profile.breakpoints()
-    points = profile.points_at(ts)
-    # x(t) falls as t rises, so equal points are adjacent; keep the first of each run
-    distinct = np.ones(len(points), dtype=bool)
-    distinct[1:] = (points[1:] != points[:-1]).any(axis=1)
-    points = points[distinct]
-    values = f._batch(points)
-    lengths = np.add.reduceat(np.diff(ts, prepend=0.0), np.flatnonzero(distinct))
-    # the points also fall lexicographically, so the smallest tied point is the last
-    k = len(points) - 1 - int(np.argmin(values[::-1]))
-    return tuple(points[k].tolist()), float(values[k]), float(lengths @ values)
+    vals = np.append(weights[::-1], 1.0)
+    # the first of each run of equal values in (0, 1]: the breakpoints, ascending
+    first = vals > 0.0
+    first[1:] &= vals[1:] != vals[:-1]
+    first = np.flatnonzero(first)
+    ts = _thresholds(vals[first])
+    rows = vals.size - 1 - first  # the count of entries >= t
+    values = f._batch(points[rows])
+    lengths = ts - np.append(0.0, ts[:-1])
+    # x(t) falls as t rises, also lexicographically, so the smallest tied point is the last
+    k = len(rows) - 1 - int(np.argmin(values[::-1]))
+    return rows, values, tuple(points[rows[k]].tolist()), float(values[k]), float(lengths @ values)
+
+
+def _finish_walk(f: OracleFunction, walk: np.ndarray, points: np.ndarray, rows: np.ndarray,
+                 values: np.ndarray) -> np.ndarray:
+    """The gains along the walk (``greedy_extension``'s weights), given its ``rows`` ``values``.
+
+    Evaluates the other rows of ``points`` in one batch.  A value does not
+    depend on its batch, so the gains are those of ``greedy_extension`` at
+    the walk's profile bit for bit.
+    """
+    walk_values = np.empty(len(points))
+    walk_values[rows] = values
+    rest = np.ones(len(points), dtype=bool)
+    rest[rows] = False
+    walk_values[rest] = f._batch(points[rest])
+    return _gains_along(walk, walk_values)
 
 
 def minimize_submodular(f: OracleFunction, method: str = "brute_force",
@@ -311,7 +339,14 @@ def minimize_submodular(f: OracleFunction, method: str = "brute_force",
     primal profile is rho = PAV(-z), the projection of -z onto non-increasing
     levels; the linear oracle is greedy_extension at rho.  After each new
     atom, Wolfe's minor cycles find the least-norm point of the atoms' hull
-    exactly and drop the atoms whose weight reaches zero.
+    exactly and drop the atoms whose weight reaches zero.  While the atoms
+    hold one greedy vector w, the least-norm point of w + D is found in one
+    step instead: z is the non-decreasing isotonic regression of w in each
+    coordinate, and its atoms are w and the shifts inside its pooled blocks
+    (``_isotonic_corral``).  Every threshold rounding of rho is a point of
+    the greedy walk at rho, so the rounding evaluates the walk's rows first,
+    and the rest of the walk only if the solver goes on: a run of t
+    iterations makes at most (t + 1)(r + 1) oracle calls, r the entry count.
 
     w gives a separable minorant f(0) + sum_i prefix(w_i) of a submodular f;
     its minimum (O(sum k_i), no oracle calls) is a certified lower bound.  The
@@ -339,27 +374,43 @@ def _min_norm_point_sfm(f: OracleFunction, budget: int) -> SfmResult:
     shifts = _level_shifts(d)
     lows = shifts.argmin(axis=1).tolist()  # shift k is e_(lows[k] + 1) - e_(lows[k])
     segments = _segments(d)
-    _, s = greedy_extension(f, Profile._of_flat(d, np.full(d._rises.size, 0.5)))
-    f0 = s.constant
-    atoms = s._increments[None, :]  # one per row
+    # the walk at the flat profile; its extension value is not needed
+    _, walk, points = _greedy_walk(Profile._of_flat(d, np.full(d._rises.size, 0.5)))
+    values = f._batch(points)
+    f0 = float(values[0])
+    atoms = _gains_along(walk, values)[None, :]  # one per row
     greedy = np.ones(1, dtype=bool)            # greedy vector (True) or level shift
     weights = np.ones(1)
     best_point, best_value, best_ext, lower = None, math.inf, math.inf, -math.inf
     for iteration in range(1, budget + 1):
-        # level shifts first: they cost no oracle calls and make z
-        # non-decreasing along every coordinate
-        z = weights @ atoms
-        while True:
-            zs = z.tolist()
-            # shifts @ z: each row picks one difference of z, rounded once
-            slack = [zs[p + 1] - zs[p] for p in lows]
-            if not (slack and min(slack) < -CORRAL_TOL * max(1.0, max(map(abs, zs)))):
-                break
-            atoms, greedy, weights = _add_atom(atoms, greedy, weights,
-                                               shifts[slack.index(min(slack))], False)
+        if np.count_nonzero(greedy) == 1:
+            # the least-norm point of w + cone(D) and its corral, in one step
+            w = atoms[greedy][0]
+            rho, picked, mu = _isotonic_corral(segments, w.tolist())
+            rho = np.array(rho)
+            z = -rho
+            atoms = np.concatenate((w[None, :], shifts[picked]))
+            greedy = np.zeros(len(atoms), dtype=bool)
+            greedy[0] = True
+            weights = np.array([1.0] + mu)
+        else:
+            # level shifts first: they cost no oracle calls and make z
+            # non-decreasing along every coordinate
             z = weights @ atoms
-        rho = np.array(_pav_levels(segments, [-v for v in zs]))
-        point, value, ext = _round_and_extend(f, _rounding_profile(d, rho))
+            while True:
+                zs = z.tolist()
+                # shifts @ z: each row picks one difference of z, rounded once
+                slack = [zs[p + 1] - zs[p] for p in lows]
+                if not (slack and min(slack) < -CORRAL_TOL * max(1.0, max(map(abs, zs)))):
+                    break
+                atoms, greedy, weights = _add_atom(atoms, greedy, weights,
+                                                   shifts[slack.index(min(slack))], False)
+                z = weights @ atoms
+            rho = np.array(_pav_levels(segments, [-v for v in zs]))
+        # greedy_extension's walk at rho holds every threshold rounding of rho
+        # (rho may leave [0, 1]: the walk reads only the order of the entries)
+        order, walk, points = _greedy_walk(Profile._of_flat(d, rho))
+        rows, values, point, value, ext = _round_and_extend(f, _rounded(rho[order]), points)
         if value < best_value:
             best_point, best_value = point, value
         best_ext = min(best_ext, ext)
@@ -367,9 +418,7 @@ def _min_norm_point_sfm(f: OracleFunction, budget: int) -> SfmResult:
         lower = max(lower, f0 + _separable_minimum(segments, w))
         if best_value - lower <= SFM_TOL * max(1.0, abs(best_value)) or iteration == budget:
             break
-        # greedy_extension reads only the order of the entries, so rho may leave [0, 1]
-        _, s = greedy_extension(f, Profile._of_flat(d, rho))
-        vertex = s._increments
+        vertex = _finish_walk(f, walk, points, rows, values)
         if z @ z - z @ vertex <= CORRAL_TOL * max(1.0, z @ z):
             break  # no greedy vector lowers |z|: z is the least-norm point
         atoms, greedy, weights = _add_atom(atoms, greedy, weights, vertex, True)
@@ -378,6 +427,39 @@ def _min_norm_point_sfm(f: OracleFunction, budget: int) -> SfmResult:
             "lower_bound": lower, "gap": best_value - lower}
     return SfmResult(best_point, best_value, "subgradient",
                      iterations=iteration, duality_info=info)
+
+
+def _isotonic_corral(segments: list, w: list):
+    """The least-norm point of w + cone(D) and a corral that spans it, in closed form.
+
+    By Moreau's decomposition, the least-norm point of w + cone(D) is z,
+    each coordinate's non-decreasing isotonic regression of w (Bach, Math.
+    Prog. 2019, section 5): rho = -z is ``_pav_levels(segments, -w)`` bit
+    for bit.  z = w + sum_l mu_l (e_(l+1) - e_l) with mu_l = prefix_l(w) -
+    prefix_l(z), the running sums over a coordinate's levels up to l: zero
+    between two pooled blocks of z, positive inside one in exact arithmetic,
+    and summed here from the block's start.  Every shift with mu_l > 0 lies
+    inside a block, so it is normal to z.
+
+    Returns rho, the indices in ``_level_shifts`` order of the shifts with
+    mu_l > 0, and their mu_l, as lists.
+    """
+    rho, picked, mu = [], [], []
+    first = 0  # index of the coordinate's first shift
+    for i, j in segments:
+        start = i
+        for s, c in zip(*_pav_blocks([-v for v in w[i:j]])):
+            mean = s / c
+            rho += [mean] * c
+            carry = 0.0
+            for p in range(start, start + c - 1):
+                carry += w[p] + mean  # w - z, with z = -mean in the block
+                if carry > 0.0:
+                    picked.append(first + p - i)
+                    mu.append(carry)
+            start += c
+        first += max(j - i - 1, 0)
+    return rho, picked, mu
 
 
 @functools.lru_cache(maxsize=16)
@@ -422,15 +504,15 @@ def _separable_minimum(segments: list, w: list) -> float:
     return sum(lows)
 
 
-def _rounding_profile(domain: LatticeDomain, rho: np.ndarray) -> Profile:
-    """rho / max(rho), clamped at 0: its breakpoints are the positive levels of rho.
+def _rounded(rho: np.ndarray) -> np.ndarray:
+    """rho / max(rho), clamped at 0: the rounding profile of rho, entry by entry.
 
-    rho is non-increasing along each coordinate already (``_pav_levels``), so
-    clamping to [0, 1] is its projection.
+    Its breakpoints are the positive levels of rho.  rho is non-increasing
+    along each coordinate already (``_pav_levels``), so clamping to [0, 1] is
+    its projection.  The entries may come in any order, such as walk order.
     """
     top = float(rho.max())
-    scaled = rho / top if top > 0.0 else rho
-    return Profile._of_flat(domain, np.clip(scaled, 0.0, 1.0))
+    return np.clip(rho / top if top > 0.0 else rho, 0.0, 1.0)
 
 
 def _add_atom(atoms, greedy, weights, atom, is_greedy: bool):

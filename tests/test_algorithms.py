@@ -251,6 +251,14 @@ class TestEpsilonAndPredictedBound:
             assert p.f.call_count == calls
             assert np.float64(pred.big_m).tobytes() == np.float64(big_m).tobytes()
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -0.1])
+    def test_bad_epsilon_rejected_with_or_without_v_x1(self, epsilon):
+        p = sqrt_sum_problem()
+        for v_x1 in (None, -1.0):
+            with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+                d.predicted_iteration_bound(p, epsilon, v_x1=v_x1)
+        assert p.f.call_count == p.g.call_count == 0
+
     def test_toy_bound_dominates_observed(self):
         p = sqrt_sum_problem()
         report = d.modmod(p, d.SolveOptions(algorithm="modmod", epsilon=0.1))

@@ -812,7 +812,9 @@ def test_round_profile_matches_reference(sizes, seed, digits):
         levels = [np.round(np.sort(rng.uniform(size=k - 1))[::-1], digits) for k in sizes]
         profile = d.Profile(problem.domain, levels)
         ref = _counted(f)
-        assert d.solvers._round_and_extend(f, profile)[:2] == _ref_round_profile(ref, profile)
+        order, _, points = d.extension._greedy_walk(profile)
+        got = d.solvers._round_and_extend(f, profile._flat[order], points)[2:4]
+        assert got == _ref_round_profile(ref, profile)
         assert f.call_count == ref.call_count
 
 

@@ -77,6 +77,17 @@ class TestDrSplit:
         with pytest.raises(ValueError):
             d.dr_split(f, -0.1)
 
+    @pytest.mark.parametrize("coeff", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coeff_rejected_before_any_call(self, coeff):
+        f = oracle([3, 3], lambda x: math.sqrt(x[0] + x[1]))
+        s = d.SeparableFunction(f.domain, 0.0, [[1.0, 0.5], [2.0, 1.0]])
+        for bound in (lambda: d.dr_split(f, coeff),
+                      lambda: d.separable_upper_bound(f, coeff, (1, 0)),
+                      lambda: d.separable_upper_bound(s, coeff, (1, 0))):
+            with pytest.raises(ValueError, match="quadratic coefficient must be finite"):
+                bound()
+        assert f.call_count == 0
+
 
 class TestDrUpperBound:
     def test_hand_example_above_anchor(self):

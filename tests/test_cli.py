@@ -159,6 +159,15 @@ class TestOtherCommands:
         lower = payload["lower_bound_g"]
         assert lower["tables"] == [[1.0, 1.0], [1.0, 1.0]]
 
+    @pytest.mark.parametrize("coeff", ["nan", "inf", "-inf", "-1"])
+    def test_bounds_bad_lambda_exit_2(self, toy_file, capsys, coeff):
+        assert cli_run(["bounds", toy_file, "--anchor", "1,0", f"--lambda={coeff}"]) == 2
+        captured = capsys.readouterr()
+        record = json.loads(captured.err.splitlines()[-1])
+        assert record["error"]["type"] == "ValueError"
+        assert record["error"]["message"].startswith("quadratic coefficient must be")
+        assert captured.out == ""
+
     def test_cap_exceeded_exit_3(self, toy_file, capsys):
         with _trusted("f"), _trusted("g"):
             assert cli_run(["--cap", "4", "oracle", toy_file]) == 3

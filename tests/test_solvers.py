@@ -250,10 +250,22 @@ def test_sfm_certificate(kind, sizes, seed, offset, budget):
 @given(sizes=shapes_st, seed=st.integers(0, 10**6))
 def test_sfm_separable_input_stops_after_one_iteration(sizes, seed):
     s = random_separable(seed, sizes=tuple(sizes))
-    res = d.minimize_submodular(s, method="subgradient")
-    assert res.iterations == 1
+    solves = []  # KKT systems: the first iteration projects onto the shift cone in closed form
+    kkt = d.solvers._affine_minimizer
+    d.solvers._affine_minimizer = lambda *args: solves.append(1) or kkt(*args)
+    try:
+        res = d.minimize_submodular(s, method="subgradient")
+    finally:
+        d.solvers._affine_minimizer = kkt
+    assert (res.iterations, solves) == (1, [])
     assert res.duality_info["gap"] <= SFM_TOL * max(1.0, abs(res.value))
     assert res.value == pytest.approx(d.minimize_separable(s)[1], abs=1e-12)
+
+
+def _round_on_own_walk(f, profile):
+    """``_round_and_extend`` on the greedy walk at ``profile``: (point, value, extension)."""
+    order, _, points = d.extension._greedy_walk(profile)
+    return d.solvers._round_and_extend(f, profile._flat[order], points)[2:]
 
 
 def test_rounding_extension_matches_greedy_extension():
@@ -264,8 +276,8 @@ def test_rounding_extension_matches_greedy_extension():
         levels = [np.sort(rng.choice([0.0, 0.25, 0.5, rng.uniform(), 1.0], size=k - 1))[::-1]
                   for k in fn.domain.sizes]
         profile = d.Profile(fn.domain, levels)
-        point, value, ext = d.solvers._round_and_extend(fn, profile)
-        assert (point, value) == d.solvers._round_and_extend(fn, profile)[:2]
+        point, value, ext = _round_on_own_walk(fn, profile)
+        assert (point, value) == _round_on_own_walk(fn, profile)[:2]
         assert ext == pytest.approx(d.greedy_extension(fn, profile)[0], abs=1e-12)
 
 
@@ -321,3 +333,131 @@ def test_minor_cycles_leave_the_least_norm_point_of_the_corral():
             # z is the affine minimiser: level in every greedy atom, normal to every shift
             assert np.allclose(atoms[greedy] @ z, z @ z, atol=1e-9)
             assert np.allclose(atoms[~greedy] @ z, 0.0, atol=1e-9)
+
+
+def _shift_loop(dom, w):
+    """z after adding the most violated level shift to the corral {w}, one at a time.
+
+    This is the minor-cycle path that ``solvers._isotonic_corral`` replaces.
+    """
+    shifts = d.solvers._level_shifts(dom)
+    lows = shifts.argmin(axis=1).tolist()
+    atoms, greedy, weights = w[None, :], np.ones(1, dtype=bool), np.ones(1)
+    while True:
+        zs = (weights @ atoms).tolist()
+        slack = [zs[p + 1] - zs[p] for p in lows]
+        if not (slack and min(slack) < -d.solvers.CORRAL_TOL * max(1.0, max(map(abs, zs)))):
+            return np.array(zs)
+        atoms, greedy, weights = d.solvers._add_atom(atoms, greedy, weights,
+                                                     shifts[slack.index(min(slack))], False)
+
+
+def _greedy_vector(dom, seed, kind):
+    rng = np.random.default_rng(seed)
+    r = dom._rises.size
+    if kind == "normal":
+        return rng.normal(size=r)
+    if kind == "ties":
+        return rng.choice([-1.5, -0.5, 0.0, 0.5, 2.0], size=r)
+    if kind == "monotone":  # already non-decreasing in every coordinate: no shift
+        return np.concatenate([np.sort(rng.normal(size=k - 1)) for k in dom.sizes])
+    return np.full(r, rng.normal())  # constant: no shift either
+
+
+@settings(max_examples=80, deadline=None)
+@given(sizes=st.lists(st.integers(2, 6), min_size=1, max_size=4), seed=st.integers(0, 10**6),
+       kind=st.sampled_from(["normal", "ties", "monotone", "constant"]))
+def test_isotonic_corral_is_what_the_shift_loop_reaches(sizes, seed, kind):
+    dom = d.LatticeDomain(sizes)
+    w = _greedy_vector(dom, seed, kind)
+    segments = d.solvers._segments(dom)
+    rho, picked, mu = d.solvers._isotonic_corral(segments, w.tolist())
+    assert np.array(rho).tobytes() == \
+        np.array(d.solvers._pav_levels(segments, (-w).tolist())).tobytes()
+    z = -np.array(rho)
+    assert np.abs(z - _shift_loop(dom, w)).max() <= 1e-12
+    shifts = d.solvers._level_shifts(dom)[picked]
+    assert all(m > 0.0 for m in mu)
+    assert (shifts @ z == 0.0).all()  # every shift atom is normal to z
+    assert np.abs(w + np.array(mu) @ shifts - z).max() <= 1e-12  # and the corral spans z
+    if kind in ("monotone", "constant"):
+        assert picked == mu == []
+
+
+def _walk_input(kind, sizes, seed):
+    if kind == "table":
+        dom = d.LatticeDomain(sizes)
+        return d.TableFunction(dom, np.random.default_rng(seed).normal(size=dom.num_points))
+    if kind == "coverage":
+        spec = d.generate_ensemble("coverage", {"count": 1, "sizes": sizes, "regions": 4},
+                                   seed=seed)[0]
+        return d.build_problem(spec, validate=False)[0].g
+    return _sfm_input("inner", sizes, seed, 0.0)  # the composite f - h_g
+
+
+def _rho(dom, seed, shape):
+    """Non-increasing levels per coordinate with ties and zeros; all <= 0 for "nonpositive"."""
+    rng = np.random.default_rng(seed)
+    choices = [-1.0, -0.25, 0.0, 0.0, 0.5, rng.normal(), 2.0]
+    levels = [np.sort(rng.choice(choices, size=k - 1))[::-1] for k in dom.sizes]
+    rho = np.concatenate(levels)
+    return rho - max(0.0, rho.max()) if shape == "nonpositive" else rho
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["table", "composite", "coverage"]), sizes=shapes_st,
+       seed=st.integers(0, 10**6), shape=st.sampled_from(["mixed", "nonpositive"]))
+def test_rounding_reads_the_walk_and_the_walk_gives_the_vertex(kind, sizes, seed, shape):
+    fn = _walk_input(kind, sizes, seed)
+    dom = fn.domain
+    rho = _rho(dom, seed, shape)
+    order, walk, points = d.extension._greedy_walk(d.Profile._of_flat(dom, rho))
+    profile = d.Profile._of_flat(dom, d.solvers._rounded(rho))
+    calls = fn.call_count
+    rows, values, _, _, _ = d.solvers._round_and_extend(fn, d.solvers._rounded(rho[order]), points)
+    assert fn.call_count - calls == len(rows)
+    # x(t) at every breakpoint, the first of each run of equal points: the walk's row sum(x(t))
+    xs = profile.points_at(profile.breakpoints())
+    first = np.ones(len(xs), dtype=bool)
+    first[1:] = (xs[1:] != xs[:-1]).any(axis=1)
+    xs = xs[first]
+    assert rows.tolist() == xs.sum(axis=1).tolist()
+    assert points[rows].tolist() == xs.tolist()
+    vertex = d.solvers._finish_walk(fn, walk, points, rows, values)
+    assert fn.call_count - calls == len(points)
+    assert values.tobytes() == fn._batch(xs).tobytes()
+    want = d.greedy_extension(fn, d.Profile._of_flat(dom, rho))[1]._increments
+    assert vertex.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["table", "composite", "coverage"]), sizes=shapes_st,
+       seed=st.integers(0, 10**6), budget=st.sampled_from([1, 2, 5, 500]))
+def test_sfm_oracle_calls_stay_within_one_walk_per_iteration(kind, sizes, seed, budget):
+    fn = _walk_input(kind, sizes, seed)
+    r = fn.domain._rises.size
+    rounded, walked = [], []
+    round_and_extend, finish_walk = d.solvers._round_and_extend, d.solvers._finish_walk
+
+    def counted_rounding(*args):
+        out = round_and_extend(*args)
+        rounded.append(len(out[0]))
+        return out
+
+    def counted_walk(*args):
+        walked.append(len(args[3]))
+        return finish_walk(*args)
+
+    d.solvers._round_and_extend, d.solvers._finish_walk = counted_rounding, counted_walk
+    try:
+        calls = fn.call_count
+        res = d.minimize_submodular(fn, method="subgradient",
+                                    options=d.SubgradientOptions(iterations=budget))
+        made = fn.call_count - calls
+    finally:
+        d.solvers._round_and_extend, d.solvers._finish_walk = round_and_extend, finish_walk
+    assert len(rounded) == res.iterations
+    assert made == (r + 1) + sum(rounded) + sum(r + 1 - k for k in walked)
+    assert made <= (res.iterations + 1) * (r + 1)
+    # the earlier path evaluated every walk in full, after its rounding
+    assert made <= (r + 1) + sum(rounded) + len(walked) * (r + 1)

@@ -38,3 +38,19 @@ def test_solves_match_the_golden_file(monkeypatch):
     moved = [f'{a["solve"]}: {key} {b[key]} -> {a[key]}'
              for a, b in zip(got, want["solves"]) for key in a if a[key] != b[key]]
     assert not moved, f"{len(moved)} fields moved, the first: " + "; ".join(moved[:5])
+
+
+def test_comparison_lists_the_solves_whose_calls_rose():
+    tool = _tool()
+
+    def solve(instance, calls_f, calls_g):
+        return {"workload": "w", "seed": 1, "instance": instance, "solve": "modmod",
+                "status": "s", "events": [], "calls_f": calls_f, "calls_g": calls_g}
+
+    old = [solve("a", 10, 5), solve("b", 10, 5), solve("c", 10, 5)]
+    new = [solve("a", 9, 5), solve("b", 11, 5), solve("c", 10, 6)]
+    result = tool.compare(old, new)
+    assert result["differing_solves"] == []
+    assert result["solves_with_more_calls"] == {"w/seed1/b/modmod": {"calls_f": [10, 11]},
+                                                "w/seed1/c/modmod": {"calls_g": [5, 6]}}
+    assert tool.compare(old, old)["solves_with_more_calls"] == {}

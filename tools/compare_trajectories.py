@@ -15,8 +15,9 @@ certificate (point, value, neighbours, best descending neighbour) and the
 predicted bound agree.  Call counters (per event and per solve) and wall times
 are not compared; the calls of f and g are reported as old -> new totals per
 workload and per solve label (modmod, supsub, modmod_budget, ...), so a
-change to the counts shows which solves moved.  The exit status is 1 when any
-trajectory differs.
+change to the counts shows which solves moved, and every solve whose calls of
+f or g rose is listed under ``solves_with_more_calls`` with its old and new
+counts.  The exit status is 1 when any trajectory differs.
 
     python3 tools/compare_trajectories.py --golden tests/data/trajectories.json
 
@@ -120,6 +121,7 @@ def compare(old: list, new: list) -> dict:
             [(s["workload"], s["seed"], s["instance"], s["solve"]) for s in new]:
         raise SystemExit("the two trees ran different solves")
     differing = []
+    rose = {}
     events = defaultdict(int)
     moved = defaultdict(int)
     # [old, new] call totals per workload and per solve label
@@ -127,8 +129,12 @@ def compare(old: list, new: list) -> dict:
     by_solve = {c: defaultdict(lambda: [0, 0]) for c in COUNTERS}
     for a, b in zip(old, new):
         w = a["workload"]
+        name = f'{w}/seed{a["seed"]}/{a["instance"]}/{a["solve"]}'
         if _without_counters(a) != _without_counters(b):
-            differing.append(f'{w}/seed{a["seed"]}/{a["instance"]}/{a["solve"]}')
+            differing.append(name)
+        more = {c: [a[c], b[c]] for c in COUNTERS if b[c] > a[c]}
+        if more:
+            rose[name] = more
         events[w] += len(a["events"])
         moved[w] += sum(any(ea[c] != eb[c] for c in COUNTERS)
                         for ea, eb in zip(a["events"], b["events"]))
@@ -142,6 +148,7 @@ def compare(old: list, new: list) -> dict:
                      "v/f/g/surrogate bits, certificate point, value, neighbours and best "
                      "descending neighbour, predicted bounds",
         "differing_solves": differing,
+        "solves_with_more_calls": rose,
         "events": dict(events),
         "events_with_moved_counters": dict(moved),
         **{f"{c}_old_new": dict(calls[c]) for c in COUNTERS},
