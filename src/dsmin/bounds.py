@@ -59,7 +59,7 @@ def dr_violation(f: OracleFunction, cap=None) -> float:
     0 means f is already DR-submodular.  Brute force; cap-guarded.
     """
     table = _Tabulation(f, cap, "dr_violation")
-    worst, _, _ = table.first_extremum(table.within(), "within")
+    worst, _ = table.extremum(table.within())
     return max(0.0, worst)
 
 

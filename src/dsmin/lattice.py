@@ -262,6 +262,10 @@ class OracleFunction:
         k = int(np.argmin(np.isfinite(values)))
         raise ValueError(f"{self!r} returned {values[k]} at point {tuple(X[k].tolist())}")
 
+    def _whole(self) -> Optional[np.ndarray]:
+        """All N values, row-major, uncounted and unchecked, if f has a faster form than batches."""
+        return None
+
     def _sweep(self) -> "_Sweep":
         """A fresh sweep of double greedy's rows (see ``_Sweep``)."""
         return _Sweep(self)
@@ -482,6 +486,9 @@ class TableFunction(OracleFunction):
         # closing over the array, not self, leaves no cycle to delay freeing a dropped table
         super().__init__(domain, name=name, batch_fn=lambda X: values[X @ strides])
 
+    def _whole(self) -> np.ndarray:
+        return self.values
+
 
 class SeparableFunction(OracleFunction):
     """constant + sum_i sum_{j<=x_i} w_i(j): the lattice analogue of a linear function.
@@ -589,8 +596,12 @@ class SeparableFunction(OracleFunction):
         return _SeparableSweep(self)
 
     def values_over_domain(self) -> np.ndarray:
-        """Dense row-major table of all values (vectorised; does not count calls)."""
-        return self.values_at(self.domain.point_array())
+        """Dense row-major table of all values, uncounted: constant + ((p_0 + p_1) + ...)
+        broadcast, added in ``values_at``'s order, so its values bit for bit."""
+        total = functools.reduce(np.add.outer, self.prefixes)
+        return (self.constant + total).reshape(-1)
+
+    _whole = values_over_domain
 
     def argmin_tables(self):
         """Per-coordinate levels minimising each prefix curve (lowest level on ties)."""
@@ -689,17 +700,25 @@ def constant_function(domain: LatticeDomain, c: float) -> SeparableFunction:
 
 def table_of(f: OracleFunction, cap=None) -> np.ndarray:
     """Evaluate ``f`` at every point, row-major.  Cap-guarded."""
-    return _Tabulation(f, cap, "tabulating a function").values.reshape(-1)
+    return _Tabulation(f, cap, "tabulating a function").values.flatten()
 
 
 class _Tabulation:
     """``f`` tabulated once (cap check, then N calls), and its differences.
 
+    A table oracle is read, and a separable function summed, whole
+    (``_whole``); other oracles are evaluated in batches of ``_ROWS`` points,
+    which bound a kernel's per-point temporaries (coverage: n * regions).
+    Either way N calls are counted, and the first non-finite value, row-major,
+    is refused as ``_batch`` refuses it.
+
     ``cross``, ``within`` and ``marginals`` yield ``((i, j), D)`` per pair of
     coordinates or ``((i, None), D)`` per coordinate: ``D[x]`` is the
     difference at each x where it is defined, bit for bit equal to its scalar
-    formula.  Memory stays O(N): slices come one at a time, and batches of
-    ``_ROWS`` points bound a kernel's per-point temporaries (coverage: n * regions).
+    formula.  Memory stays O(N): slices come one at a time.  A verdict or
+    ``dr_violation`` needs only ``extremum``, one reduction per slice; a
+    checker makes the slices again for ``first_extremum``'s witness scan
+    only when it fails.
     """
 
     _ROWS = 1024
@@ -707,14 +726,23 @@ class _Tabulation:
     def __init__(self, f: OracleFunction, cap, what: str):
         d = f.domain
         d.check_cap(cap, what=what)
-        blocks = np.split(np.arange(d.num_points), range(self._ROWS, d.num_points, self._ROWS))
-        self.values = np.concatenate([f._batch(np.stack(np.unravel_index(b, d.sizes), axis=1))
-                                      for b in blocks]).reshape(d.sizes)
+        values = f._whole()
+        if values is None:
+            blocks = np.split(np.arange(d.num_points), range(self._ROWS, d.num_points, self._ROWS))
+            values = np.concatenate([f._batch(np.stack(np.unravel_index(b, d.sizes), axis=1))
+                                     for b in blocks])
+        else:
+            f._count(d.num_points)
+            if not _finite(values):
+                f._refuse(values, d.point_array())
+        self.values = values.reshape(d.sizes)
 
     def _at(self, reach, *steps):
         """f(x + sum of e_a over steps) at every x with x + sum of e_a over reach in the domain."""
-        return self.values[tuple(slice(steps.count(a), k - reach.count(a) + steps.count(a))
-                                 for a, k in enumerate(self.values.shape))]
+        index = [slice(None)] * self.values.ndim
+        for a in reach:
+            index[a] = slice(steps.count(a), steps.count(a) - reach.count(a) or None)
+        return self.values[tuple(index)]
 
     def cross(self):
         for i, j in itertools.combinations(range(self.values.ndim), 2):
@@ -730,6 +758,18 @@ class _Tabulation:
         for i in range(self.values.ndim):
             at = functools.partial(self._at, (i,))
             yield (i, None), at(i) - at()
+
+    def extremum(self, slices, lowest: bool = False) -> tuple:
+        """``first_extremum``'s (value, count of entries), from one max (min) per slice."""
+        tops, count = [], 0
+        for _, D in slices:
+            count += D.size
+            if D.size:
+                tops.append(D.min() if lowest else D.max())
+        if not tops:
+            return (math.inf if lowest else -math.inf), count
+        # a slice holding NaN tops at NaN, which first_extremum passes over unless all do
+        return float((np.fmin if lowest else np.fmax).reduce(tops)), count
 
     def first_extremum(self, slices, kind: str, lowest: bool = False) -> tuple:
         """(value, witness, count of entries) of the largest entry, or the smallest.
@@ -809,28 +849,25 @@ def check_submodular(f: OracleFunction, tol: float = CHECK_TOL, cap=None) -> Ver
     point cap.
     """
     table = _Tabulation(f, cap, "check_submodular")
-    best, wit, checked = table.first_extremum(table.cross(), "cross")
-    if best > tol:
-        return Verdict(False, wit, checked)
-    return Verdict(True, None, checked)
+    best, checked = table.extremum(table.cross())
+    wit = table.first_extremum(table.cross(), "cross")[1] if best > tol else None
+    return Verdict(wit is None, wit, checked)
 
 
 def check_dr(f: OracleFunction, tol: float = CHECK_TOL, cap=None) -> Verdict:
     """Diminishing-returns check: submodular plus concave along each coordinate."""
     table = _Tabulation(f, cap, "check_dr")
-    cross_best, cross_wit, c1 = table.first_extremum(table.cross(), "cross")
-    within_best, within_wit, c2 = table.first_extremum(table.within(), "within")
-    best = max(cross_best, within_best)
-    if best > tol:
-        wit = cross_wit if cross_best >= within_best else within_wit
-        return Verdict(False, wit, c1 + c2)
-    return Verdict(True, None, c1 + c2)
+    (cross, c1), (within, c2) = table.extremum(table.cross()), table.extremum(table.within())
+    wit = None
+    if max(cross, within) > tol:
+        kind, slices = ("cross", table.cross) if cross >= within else ("within", table.within)
+        wit = table.first_extremum(slices(), kind)[1]
+    return Verdict(wit is None, wit, c1 + c2)
 
 
 def check_monotone(f: OracleFunction, tol: float = CHECK_TOL, cap=None) -> Verdict:
     """Holds iff every unit marginal f(x+e_i) - f(x) is >= -tol."""
     table = _Tabulation(f, cap, "check_monotone")
-    worst, wit, checked = table.first_extremum(table.marginals(), "monotone", lowest=True)
-    if worst < -tol:
-        return Verdict(False, wit, checked)
-    return Verdict(True, None, checked)
+    worst, checked = table.extremum(table.marginals(), lowest=True)
+    wit = table.first_extremum(table.marginals(), "monotone", True)[1] if worst < -tol else None
+    return Verdict(wit is None, wit, checked)

@@ -65,6 +65,7 @@ from .lattice import (
     SeparableFunction,
     TableFunction,
     _Sweep,
+    _finite,
     _sweep_terms,
     check_submodular,
 )
@@ -119,20 +120,34 @@ def _expect_number(val, path) -> float:
     return num
 
 
-def _expect_numbers(obj, path, length=None):
+def _expect_numbers(obj, path, length=None) -> np.ndarray:
+    """Finite numbers as floats: one type pass and one finite check, and a walk entry by
+    entry only to name a fault (a wrong type first, then a non-finite value)."""
     obj = _expect_list(obj, path, length)
+    if set(map(type, obj)) <= {int, float}:
+        try:
+            values = np.array(obj, dtype=float)
+            if _finite(values):
+                return values
+        except OverflowError:  # an integer beyond the float range
+            pass
     for idx, val in enumerate(obj):
-        if type(val) is not float and (not isinstance(val, (int, float))
-                                       or isinstance(val, bool)):
+        if not isinstance(val, (int, float)) or isinstance(val, bool):
             _fail(f"{path}[{idx}]", f"expected a number, got {val!r}")
-    try:
-        values = list(map(float, obj))
-        if math.isfinite(sum(values)):  # so no entry is NaN or infinite
-            return values
-    except OverflowError:
-        pass
-    # find the entry at fault; a sum that overflowed on finite entries passes
-    return [_expect_number(val, f"{path}[{idx}]") for idx, val in enumerate(obj)]
+    return np.array([_expect_number(val, f"{path}[{idx}]") for idx, val in enumerate(obj)])
+
+
+def _expect_rows(obj, path, lengths) -> np.ndarray:
+    """Rows of finite numbers, row i of ``lengths[i]``, laid end to end: checked as one
+    list, and a fault named row by row."""
+    rows = _expect_list(obj, path, len(lengths))
+    if all(isinstance(row, (list, tuple)) and len(row) == k for row, k in zip(rows, lengths)):
+        try:
+            return _expect_numbers([val for row in rows for val in row], path)
+        except ProblemFormatError:
+            pass
+    return np.concatenate([_expect_numbers(row, f"{path}[{i}]", k)
+                           for i, (row, k) in enumerate(zip(rows, lengths))])
 
 
 def build_function(spec: dict, domain: LatticeDomain, slot: str, path: str) -> OracleFunction:
@@ -142,28 +157,23 @@ def build_function(spec: dict, domain: LatticeDomain, slot: str, path: str) -> O
     kind = spec.get("kind")
     if kind not in FUNCTION_KINDS:
         _fail(f"{path}.kind", f"expected one of {FUNCTION_KINDS}, got {kind!r}")
+    n = domain.n
 
     if kind == "table":
         values = _expect_numbers(spec.get("values"), f"{path}.values", domain.num_points)
         return TableFunction(domain, values, name=f"{slot}:table")
 
     if kind == "separable":
-        tables = _expect_list(spec.get("tables"), f"{path}.tables", domain.n)
-        parsed = [
-            _expect_numbers(t, f"{path}.tables[{i}]", domain.sizes[i] - 1)
-            for i, t in enumerate(tables)
-        ]
+        tables = _expect_rows(spec.get("tables"), f"{path}.tables", domain.k_max)
         constant = _expect_number(spec.get("constant", 0.0), f"{path}.constant")
-        return SeparableFunction(domain, constant, parsed, name=f"{slot}:separable")
+        return SeparableFunction(domain, constant, np.split(tables, domain._increment_offsets[1:]),
+                                 name=f"{slot}:separable")
 
     if kind == "quadratic":
-        rows = _expect_list(spec.get("A"), f"{path}.A", domain.n)
-        A = np.array([_expect_numbers(r, f"{path}.A[{i}]", domain.n)
-                      for i, r in enumerate(rows)])
+        A = _expect_rows(spec.get("A"), f"{path}.A", [n] * n).reshape(n, n)
         if not np.allclose(A, A.T, atol=1e-12):
             _fail(f"{path}.A", "matrix must be symmetric")
-        b = np.array(_expect_numbers(spec.get("b", [0.0] * domain.n),
-                                     f"{path}.b", domain.n))
+        b = _expect_numbers(spec.get("b", [0.0] * n), f"{path}.b", n)
         c = _expect_number(spec.get("c", 0.0), f"{path}.c")
 
         def eval_quad(x, A=A, b=b, c=c):
@@ -172,26 +182,18 @@ def build_function(spec: dict, domain: LatticeDomain, slot: str, path: str) -> O
 
         return OracleFunction(domain, eval_quad, name=f"{slot}:quadratic")
 
-    # coverage_tradeoff: coverage side in the g slot, cost side in the f slot
-    probs_rows = _expect_list(spec.get("probs"), f"{path}.probs", domain.n)
-    probs = np.array([_expect_numbers(r, f"{path}.probs[{i}]")
-                      for i, r in enumerate(probs_rows)])
-    if probs.ndim != 2:
-        _fail(f"{path}.probs", "rows must have equal length")
+    # coverage_tradeoff (g: coverage side, f: cost side); probs rows as long as the first
+    probs_rows = _expect_list(spec.get("probs"), f"{path}.probs", n)
+    regions = len(probs_rows[0]) if isinstance(probs_rows[0], (list, tuple)) else None
+    probs = _expect_rows(probs_rows, f"{path}.probs", [regions] * n).reshape(n, -1)
     if np.any(probs < 0) or np.any(probs > 1):
         _fail(f"{path}.probs", "probabilities must lie in [0, 1]")
-    weights = np.array(_expect_numbers(spec.get("weights"), f"{path}.weights",
-                                       probs.shape[1]))
-    cost_rows = _expect_list(spec.get("cost_tables"), f"{path}.cost_tables", domain.n)
-    costs = [
-        _expect_numbers(r, f"{path}.cost_tables[{i}]", domain.sizes[i])
-        for i, r in enumerate(cost_rows)
-    ]
+    weights = _expect_numbers(spec.get("weights"), f"{path}.weights", regions)
+    costs = _expect_rows(spec.get("cost_tables"), f"{path}.cost_tables", domain.sizes)
     tradeoff = _expect_number(spec.get("tradeoff", 1.0), f"{path}.tradeoff")
 
     if slot == "f":
-        curves = [np.asarray(c) * tradeoff for c in costs]
-        return SeparableFunction.from_level_values(domain, curves)
+        return SeparableFunction._of_levels(domain, costs * tradeoff)
 
     return _Coverage(domain, probs, weights, name=f"{slot}:coverage")
 

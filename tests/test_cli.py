@@ -98,6 +98,18 @@ class TestSolve:
         assert "certified_local_min" not in captured.out
         assert "status" not in captured.out
 
+    def test_ragged_probs_exit_2(self, tmp_path, capsys):
+        block = {"kind": "coverage_tradeoff", "probs": [[0.5, 0.2], [0.1]],
+                 "weights": [1.0, 2.0], "cost_tables": [[0.0, 1.0, 1.5], [0.0, 0.5, 0.8]]}
+        path = tmp_path / "ragged.json"
+        d.write_problem({"version": 1, "sizes": [3, 3], "f": block, "g": block}, path)
+        assert cli_run(["solve", str(path)]) == 2
+        captured = capsys.readouterr()
+        record = json.loads(captured.err.splitlines()[-1])
+        assert record["error"] == {"type": "ProblemFormatError",
+                                   "message": "f.probs[1]: expected 2 entries, got 1"}
+        assert "status" not in captured.out
+
     @pytest.mark.parametrize("flags,field", [
         (["--epsilon", "nan"], "epsilon"), (["--lambda", "nan"], "dr_coeff"),
         (["--lambda", "-1"], "dr_coeff"), (["--budget", "-1"], "budget")])

@@ -36,9 +36,9 @@ from hypothesis import strategies as st
 import dsmin as d
 from dsmin import solvers
 from dsmin.extension import PROFILE_TOL
-from dsmin.lattice import (CHECK_TOL, Verdict, Witness, second_difference_cross,
+from dsmin.lattice import (CHECK_TOL, Verdict, Witness, _Tabulation, second_difference_cross,
                           second_difference_within)
-from conftest import bits, coverage_function, quadratic_submodular
+from conftest import bits, coverage_function, quadratic_submodular, random_separable
 
 sizes_st = st.lists(st.integers(2, 5), min_size=1, max_size=4)
 
@@ -318,6 +318,73 @@ def test_constant_function_ties_everywhere():
     fn = d.OracleFunction(d.LatticeDomain([3, 2, 3]), lambda x: 0.0)
     _assert_matches(fn)
     assert d.brute_force_minimize(fn) == ((0, 0, 0), 0.0)
+
+
+def _first_extremum_checks(fn, tol):
+    """Each checker's result as first_extremum alone gives it: verdicts with witnesses."""
+    table = _Tabulation(_counted(fn), None, "reference")
+    best, wit, checked = table.first_extremum(table.cross(), "cross")
+    submodular = Verdict(False, wit, checked) if best > tol else Verdict(True, None, checked)
+    within, within_wit, c2 = table.first_extremum(table.within(), "within")
+    dr = (Verdict(False, wit if best >= within else within_wit, checked + c2)
+          if max(best, within) > tol else Verdict(True, None, checked + c2))
+    worst, wit, checked = table.first_extremum(table.marginals(), "monotone", lowest=True)
+    monotone = Verdict(False, wit, checked) if worst < -tol else Verdict(True, None, checked)
+    return submodular, dr, monotone, max(0.0, within)
+
+
+@pytest.mark.parametrize("tol", [CHECK_TOL, 0.0, 1.0])
+@pytest.mark.parametrize("seed", range(3))
+def test_verdicts_are_first_extremum_s(seed, tol):
+    """One reduction per slice decides; the witness and count are first_extremum's.
+
+    Random tables fail, integer and constant tables tie, and a separable
+    function and a concave-of-sum table pass the submodular checks.
+    """
+    dom = d.LatticeDomain([3, 4, 3])
+    concave = d.TableFunction(dom, [math.sqrt(sum(x)) for x in dom.points()])
+    for fn in (_table([3, 4, 3], seed, False), _table([4, 2, 3], seed, True), concave,
+               random_separable(seed, sizes=(3, 2, 4)), 0.0 * concave):
+        got = (d.check_submodular(fn, tol), d.check_dr(fn, tol), d.check_monotone(fn, tol),
+               d.dr_violation(fn))
+        assert bits(got) == bits(_first_extremum_checks(fn, tol))
+
+
+@pytest.mark.parametrize("lowest", [False, True])
+def test_extremum_reads_nan_slices_as_first_extremum_does(lowest):
+    """A slice holding NaN is passed over unless every slice does; no slices: -inf (inf)."""
+    table = _Tabulation(d.TableFunction(d.LatticeDomain([3, 3]), np.zeros(9)), None, "t")
+    nan = math.nan
+    cases = [
+        [((0, 1), np.array([[1.0, nan], [2.0, 0.5]])), ((0, None), np.array([[3.0, -1.0]]))],
+        [((0, 1), np.array([[nan, nan]])), ((0, None), np.array([[-2.0], [4.0]]))],
+        [((0, 1), np.array([[nan, 1.0]])), ((1, None), np.array([[nan]]))],
+        [((0, 1), np.zeros((0, 3))), ((1, None), np.array([[7.0]]))],
+        [((0, 1), np.zeros((2, 0)))],
+        [],
+    ]
+    for slices in cases:
+        value, _, count = table.first_extremum(slices, "k", lowest)
+        assert bits(table.extremum(slices, lowest)) == bits((value, count))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes=sizes_st, seed=st.integers(0, 10**6), integer=st.booleans(),
+       c=st.sampled_from([0.0, -0.0, 1.5]))
+def test_separable_tabulation_is_the_batch_bit_for_bit(sizes, seed, integer, c):
+    """A separable function is tabulated as the broadcast sum of its prefix curves."""
+    s = d.SeparableFunction(d.LatticeDomain(sizes), c, _tables(sizes, seed, integer))
+    table = _Tabulation(s, None, "t").values.reshape(-1)
+    assert s.call_count == s.domain.num_points
+    assert table.tobytes() == s.values_at(s.domain.point_array()).tobytes()
+
+
+def test_a_table_is_read_and_table_of_copies_it():
+    fn = _table([3, 4], 0, False)
+    assert np.shares_memory(_Tabulation(fn, None, "t").values, fn.values)
+    copy = d.table_of(fn)
+    assert copy.tobytes() == fn.values.tobytes() and not np.shares_memory(copy, fn.values)
+    assert fn.call_count == 24
 
 
 @settings(max_examples=40, deadline=None)

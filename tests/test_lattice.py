@@ -270,6 +270,26 @@ class TestNonFiniteValues:
             with pytest.raises(ValueError, match="returned nan"):
                 run(self.nan_at((2, 1)))
 
+    def test_a_table_read_whole_is_refused_as_its_batch_is(self):
+        """Every brute-force operation names the first non-finite point, row-major."""
+        dom = d.LatticeDomain([3, 4])
+        values = np.arange(12.0)
+        values[6], values[9] = math.inf, math.nan
+        table = d.TableFunction(dom, values, name="t")
+        message = "OracleFunction(t, domain=[3, 4]) returned inf at point (1, 2)"
+        with pytest.raises(ValueError) as err:
+            table.batch(dom.point_array())
+        assert str(err.value) == message
+        weights = d.SeparableFunction.zero(dom)
+        for run in (d.check_submodular, d.check_dr, d.check_monotone, d.dr_violation,
+                    d.second_difference_extremes, d.brute_force_minimize, d.table_of,
+                    lambda f: d.base_vertex_check(f, weights)):
+            table.reset_count()
+            with pytest.raises(ValueError) as err:
+                run(table)
+            assert str(err.value) == message
+            assert table.call_count == 12
+
     @pytest.mark.parametrize("algorithm", ["modmod", "supsub", "subsup"])
     def test_solve_raises_instead_of_certifying(self, algorithm):
         g = oracle((3, 3), lambda x: 0.0)

@@ -209,6 +209,89 @@ class TestHostileNumbers:
         assert options["budget"] == 1
 
 
+# (spec builder, path to one list of numbers, its field path); rows are checked
+# together with the other rows of their field, a fault is named in its own row
+NUMBER_LISTS = [
+    (sqrt_table_spec, ["f", "values"], "f.values"),
+    (sqrt_table_spec, ["g", "tables", 1], "g.tables[1]"),
+    (_coverage_spec, ["g", "probs", 1], "g.probs[1]"),
+    (_coverage_spec, ["f", "cost_tables", 0], "f.cost_tables[0]"),
+    (_coverage_spec, ["g", "weights"], "g.weights"),
+    (_quadratic_spec, ["f", "A", 1], "f.A[1]"),
+    (_quadratic_spec, ["f", "b"], "f.b"),
+]
+LIST_IDS = [field for _, _, field in NUMBER_LISTS]
+
+
+def _message(spec):
+    with pytest.raises(d.ProblemFormatError) as err:
+        d.build_problem(spec)
+    return str(err.value)
+
+
+class TestEntryByEntry:
+    """A document is checked a list or a row set at a time; a fault is named entry by entry."""
+
+    @pytest.mark.parametrize("bad", [True, False, "x", None, [1.0]], ids=repr)
+    @pytest.mark.parametrize("build, path, field", NUMBER_LISTS, ids=LIST_IDS)
+    def test_each_entry_of_a_wrong_type(self, build, path, field, bad):
+        for idx in range(len(_get(build(), path))):
+            spec = build()
+            _get(spec, path)[idx] = bad
+            assert _message(spec) == f"{field}[{idx}]: expected a number, got {bad!r}"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400], ids=repr)
+    @pytest.mark.parametrize("build, path, field", NUMBER_LISTS, ids=LIST_IDS)
+    def test_each_entry_not_finite(self, build, path, field, bad):
+        for idx in range(len(_get(build(), path))):
+            spec = build()
+            _get(spec, path)[idx] = bad
+            assert _message(spec) == f"{field}[{idx}]: expected a finite number, got {bad!r}"
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    @pytest.mark.parametrize("build, path, field", NUMBER_LISTS, ids=LIST_IDS)
+    def test_wrong_length(self, build, path, field, delta):
+        spec = build()
+        entries = _get(spec, path)
+        k = len(entries)
+        if delta < 0:
+            entries.pop()
+        else:
+            entries.append(0.5)
+        assert _message(spec) == f"{field}: expected {k} entries, got {k + delta}"
+
+    def test_a_wrong_type_is_named_before_a_non_finite_entry(self):
+        spec = sqrt_table_spec()
+        spec["f"]["values"][1] = math.nan
+        spec["f"]["values"][5] = "x"
+        assert _message(spec) == "f.values[5]: expected a number, got 'x'"
+
+    def test_an_earlier_row_is_named_first(self):
+        spec = _quadratic_spec()
+        spec["f"]["A"][1][0] = "x"
+        spec["f"]["A"][0][1] = math.inf
+        assert _message(spec) == "f.A[0][1]: expected a finite number, got inf"
+
+    def test_ragged_probs_rows_name_the_row(self):
+        spec = _coverage_spec()
+        spec["g"]["probs"] = [[0.5, 0.2], [0.1]]
+        assert _message(spec) == "g.probs[1]: expected 2 entries, got 1"
+
+    def test_numpy_floats_and_big_integers_accepted(self):
+        spec = sqrt_table_spec()
+        spec["f"]["values"][1] = np.float64(1.0)
+        spec["g"]["tables"][0] = [2**63, 10**30]
+        problem, _ = d.build_problem(spec, validate=False)
+        assert problem.f((0, 1)) == 1.0
+        assert problem.g((2, 0)) == float(2**63) + float(10**30)
+
+
+def _get(spec, path):
+    for key in path:
+        spec = spec[key]
+    return spec
+
+
 class TestRoundTrip:
     def test_write_then_parse_identical_values(self, tmp_path):
         for kind in ("coverage", "concave_of_linear_sums", "random_table_autosplit"):
