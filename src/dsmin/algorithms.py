@@ -16,16 +16,11 @@ guarded by comparing each candidate against the current iterate before
 acceptance.  Steps are accepted only if they improve v by at least
 epsilon * |v| (sign-safe form; plain strict descent when epsilon = 0).
 
-supsub and modmod solve a surrogate equal bit for bit to the one they solved
-last only once per solve: the stored point and value are proposed again, so
-only call counters and times differ from solving it afresh.  supsub runs
-double greedy on g and its separable bound m_f, whose rows it reads from
-m_f's tables and subtracts from g's as floats.  Within one supsub solve, g's
-rows are remembered by the levels chosen before them, and read again instead
-of evaluated; this moves only g's call counter and times.  Within one modmod
-or subsup solve, the last chain's points and values of g are kept, and a new
-chain evaluates g only on the rows between its common prefix and its common
-suffix with the last chain: again only g's call counter and times move.
+Each solve keeps its memos in one ``_Solve``: the last surrogate solved,
+the last chain's values of g, double greedy's rows of g and a separable f's
+quadratic split.  f and g are fixed for the solve, so every memo moves only
+call counters and times: each bound and each inner result equals, bit for
+bit, the one computed afresh, and a second solve makes the same calls.
 
 When an iteration produces no accepted move, the current point is certified
 by checking all 2n unit neighbours (the condition the O(n) adjacent-chain
@@ -46,13 +41,15 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .lattice import (CapExceededError, LatticeDomain, OracleFunction, SeparableFunction,
-                      _RememberedRows)
-from .extension import Chain, _chain_bounds, _chain_containing, adjacent_chain_family
-from .bounds import dr_violation, separable_upper_bound
+                      _RememberedSweep)
+from .extension import (Chain, _chain_containing, _require_on_chain, _separable_along,
+                        adjacent_chain_family)
+from .bounds import _separable_bound, _separable_split, dr_violation, separable_upper_bound
 from .decompose import DsProblem, monotone_form
 from .solvers import (
     SFM_METHODS,
     SubgradientOptions,
+    _double_greedy,
     double_greedy_maximize,
     minimize_separable,
     minimize_separable_cardinality,
@@ -235,183 +232,219 @@ def _variants(policy: str):
     return ("grow1", "grow2") if policy == "try_both" else (policy,)
 
 
-def _solve_once(solver: Callable) -> Callable:
-    """``solver`` of a separable surrogate, reusing the last result for a repeated surrogate.
+class _Solve:
+    """One solve's problem, options, split coefficient and memos.
 
-    A surrogate equal bit for bit to the last one solved (the same constant
-    bits and the same increment bytes, so -0.0 and +0.0 differ) defines the
-    same inner problem: its stored result is returned, and ``solver`` is not
-    called.  The memo lives as long as the returned function, one solve.
+    subsup, supsub and modmod each build one at the start of a solve; no
+    memo outlives it.
     """
-    last_key, last_result = None, None
 
-    def solve(s: SeparableFunction):
-        nonlocal last_key, last_result
+    def __init__(self, p: DsProblem, opts: SolveOptions, coeff: Optional[float] = None):
+        self.p, self.opts, self.coeff = p, opts, coeff
+        self._solved = None   # the last surrogate's key and its result
+        self._chain = None    # the last chain's points and values of g
+        self._rows = None     # the trie of g's double greedy rows and g's sweep bound
+        self._f_split = None  # a separable f's quadratic split at coeff
+
+    def solved(self, s: SeparableFunction, solver: Callable):
+        """``solver(s)``, or the last result when s equals the last surrogate solved.
+
+        Equal means the same constant bits and increment bytes (-0.0 and +0.0
+        differ): the same inner problem.
+        """
         key = (s.constant.hex(), s._increments.tobytes())
-        if key != last_key:
-            last_key, last_result = key, solver(s)
-        return last_result
+        if self._solved is None or self._solved[0] != key:
+            self._solved = key, solver(s)
+        return self._solved[1]
 
-    return solve
+    def lower(self, x: tuple, chain: Chain) -> SeparableFunction:
+        """``chain_lower_bound(g, x, chain)``, evaluating only the rows the last chain lacks.
 
-
-def _run_loop(p: DsProblem, opts: SolveOptions, propose: Callable) -> SolveReport:
-    d = p.domain
-    rng = random.Random(opts.seed)
-    start = d.require(opts.start) if opts.start is not None else d.zero
-    if opts.budget is not None and sum(start) > opts.budget:
-        raise ValueError(f"start point {start} violates the budget {opts.budget}")
-
-    t0 = time.perf_counter()
-    calls_f0 = p.f.call_count
-    calls_g0 = p.g.call_count
-
-    def record(t, x, surrogate, accepted, label, known=None):
-        """The event at x, a domain point; ``known`` is (f(x), g(x)) when already evaluated."""
-        if known is None:
-            X = np.array([x], dtype=np.int64)
-            known = float(p.f._batch(X)[0]), float(p.g._batch(X)[0])
-        f_val, g_val = known
-        return IterateRecord(t, x, f_val - g_val, f_val, g_val, surrogate,
-                             accepted, label,
-                             p.f.call_count - calls_f0, p.g.call_count - calls_g0,
-                             time.perf_counter() - t0)
-
-    x = start
-    iterates = [record(0, x, None, True, "start")]
-    events = [iterates[0]]
-    vx = iterates[0].v
-    status = "iter_budget"
-    certificate = None
-
-    for t in range(1, opts.max_iters + 1):
-        moved = False
-        for cand, surrogate, label in propose(x, rng):
-            cand = tuple(cand)
-            if cand == x:
-                continue
-            rec = record(t, cand, surrogate, False, label)
-            rec.accepted = accept_step(vx, rec.v, opts.epsilon)
-            events.append(rec)
-            if rec.accepted:
-                x, vx = cand, rec.v
-                iterates.append(rec)
-                moved = True
-                break
-        if moved:
-            continue
-
-        cert, nbr_values = _certify(p, x, vx, budget=opts.budget)
-        if cert.passed:
-            status = "certified_local_min"
-            certificate = cert
-            break
-        nbr, v_nbr = cert.best_descending
-        if accept_step(vx, v_nbr, opts.epsilon):
-            rec = record(t, nbr, None, True, "descending_neighbor", nbr_values)
-            events.append(rec)
-            iterates.append(rec)
-            x, vx = nbr, rec.v
+        A chain through y raises coordinates up to y, then up to k_max, so
+        two chains share their rows before the first coordinate where their
+        anchors differ and after the last one.  The rows between the first
+        and the last row that differ from the last chain are evaluated in one
+        batch, and the others are read.  A refused row raises before the kept
+        chain is replaced.
+        """
+        _require_on_chain(chain, x)
+        g = self.p.g
+        points = chain.point_array()
+        if self._chain is None:
+            values = g._batch(points)
         else:
-            # a neighbour descends, but by less than the epsilon threshold
-            status = "converged"
-            break
+            last_points, values = self._chain
+            values = values.copy()
+            differ = np.flatnonzero((points != last_points).any(axis=1))
+            if differ.size:
+                rows = slice(differ[0], differ[-1] + 1)
+                values[rows] = g._batch(points[rows])
+        self._chain = points, values
+        return _separable_along(g.domain, chain._incs, values)
 
-    predicted = None
-    if opts.epsilon > 0:
-        try:
-            v_x1 = iterates[1].v if len(iterates) > 1 else iterates[0].v
-            predicted = predicted_iteration_bound(p, opts.epsilon, v_x1=v_x1, cap=opts.cap)
-        except CapExceededError:
-            pass
-    return SolveReport(opts.algorithm, iterates, events, status,
-                       certificate=certificate, predicted=predicted)
+    def upper(self, x: tuple, variant: str) -> SeparableFunction:
+        """``separable_upper_bound(f, coeff, x, variant)``; a separable f is split once."""
+        f = self.p.f
+        if not isinstance(f, SeparableFunction):
+            return separable_upper_bound(f, self.coeff, x, variant)
+        if self._f_split is None:
+            self._f_split = _separable_split(f, self.coeff)
+        return _separable_bound(f, self._f_split, x, variant)
+
+    def maximize(self, m: SeparableFunction):
+        """``double_greedy_maximize(g, m)``, reading the rows of g an earlier run evaluated.
+
+        A row of g depends only on the levels chosen before it, so the runs
+        share a trie of g's rows keyed by those levels
+        (``lattice._RememberedSweep``).  A separable g - m needs none.
+        """
+        g = self.p.g
+        if isinstance(g, SeparableFunction):
+            return double_greedy_maximize(g - m)
+        if self._rows is None:
+            self._rows = [None, {}], g._sweep().bound
+        return _double_greedy(g, m, _RememberedSweep(g, *self._rows))
+
+    def run(self, propose: Callable) -> SolveReport:
+        """The MM loop over the candidates ``propose(x, rng)`` yields at each iterate."""
+        p, opts = self.p, self.opts
+        d = p.domain
+        rng = random.Random(opts.seed)
+        start = d.require(opts.start) if opts.start is not None else d.zero
+        if opts.budget is not None and sum(start) > opts.budget:
+            raise ValueError(f"start point {start} violates the budget {opts.budget}")
+
+        t0 = time.perf_counter()
+        calls_f0 = p.f.call_count
+        calls_g0 = p.g.call_count
+
+        def record(t, x, surrogate, accepted, label, known=None):
+            """The event at x, a domain point; ``known`` is (f(x), g(x)) when already evaluated."""
+            if known is None:
+                X = np.array([x], dtype=np.int64)
+                known = float(p.f._batch(X)[0]), float(p.g._batch(X)[0])
+            f_val, g_val = known
+            return IterateRecord(t, x, f_val - g_val, f_val, g_val, surrogate,
+                                 accepted, label,
+                                 p.f.call_count - calls_f0, p.g.call_count - calls_g0,
+                                 time.perf_counter() - t0)
+
+        x = start
+        iterates = [record(0, x, None, True, "start")]
+        events = [iterates[0]]
+        vx = iterates[0].v
+        status = "iter_budget"
+        certificate = None
+
+        for t in range(1, opts.max_iters + 1):
+            moved = False
+            for cand, surrogate, label in propose(x, rng):
+                cand = tuple(cand)
+                if cand == x:
+                    continue
+                rec = record(t, cand, surrogate, False, label)
+                rec.accepted = accept_step(vx, rec.v, opts.epsilon)
+                events.append(rec)
+                if rec.accepted:
+                    x, vx = cand, rec.v
+                    iterates.append(rec)
+                    moved = True
+                    break
+            if moved:
+                continue
+
+            cert, nbr_values = _certify(p, x, vx, budget=opts.budget)
+            if cert.passed:
+                status = "certified_local_min"
+                certificate = cert
+                break
+            nbr, v_nbr = cert.best_descending
+            if accept_step(vx, v_nbr, opts.epsilon):
+                rec = record(t, nbr, None, True, "descending_neighbor", nbr_values)
+                events.append(rec)
+                iterates.append(rec)
+                x, vx = nbr, rec.v
+            else:
+                # a neighbour descends, but by less than the epsilon threshold
+                status = "converged"
+                break
+
+        predicted = None
+        if opts.epsilon > 0:
+            try:
+                v_x1 = iterates[1].v if len(iterates) > 1 else iterates[0].v
+                predicted = predicted_iteration_bound(p, opts.epsilon, v_x1=v_x1, cap=opts.cap)
+            except CapExceededError:
+                pass
+        return SolveReport(opts.algorithm, iterates, events, status,
+                           certificate=certificate, predicted=predicted)
 
 
 def subsup(p: DsProblem, opts: Optional[SolveOptions] = None) -> SolveReport:
     """MM with the chain lower bound on g; inner solves are submodular minimisations.
 
-    g is fixed for the solve, so each chain evaluates g only on the rows it
-    does not share, as a common prefix or suffix, with the last chain; the
-    others are read from the last chain's values (``_chain_bounds``).
+    Each chain evaluates g only on the rows it does not share, as a common
+    prefix or suffix, with the last chain (``_Solve.lower``).
     """
     opts = opts or SolveOptions(algorithm="subsup")
     if opts.algorithm != "subsup":
         raise ValueError(f"options specify {opts.algorithm!r}")
-    bound_g = _chain_bounds(p.g)
+    solve = _Solve(p, opts)
 
     def propose(x, rng):
         chain = _chain_containing(p.domain, x, opts.chain_mode, rng=rng)
-        inner = p.f - bound_g(x, chain)
+        inner = p.f - solve.lower(x, chain)
         res = minimize_submodular(inner, method=opts.sfm_method,
                                   options=opts.sfm_options, cap=opts.cap)
         yield res.minimizer, res.value, "subsup"
 
-    return _run_loop(p, opts, propose)
+    return solve.run(propose)
 
 
 def supsub(p: DsProblem, opts: Optional[SolveOptions] = None) -> SolveReport:
     """MM with the separable upper bound on f; inner solves are double greedy.
 
-    The inner problem is max g - m_f over the bound m_f, solved by
-    ``double_greedy_maximize(g, m_f)``: g's rows less m_f's, which are read
-    from m_f's prefix tables, never by calling m_f, and no composite
-    g - m_f is built.  A bound equal bit for bit to the last one solved is
-    not solved again: its point and value are proposed once more, without
-    double greedy's calls of g.  g is fixed for the solve, and a double
-    greedy row of g depends only on the levels chosen before it, so the
-    runs of one solve share g's rows: a row an earlier run evaluated at the
-    same chosen levels is read, not evaluated again
-    (``lattice._RememberedRows``).  A separable g needs no such memo:
-    ``double_greedy_maximize(g - m_f)`` runs on one separable function.
+    The inner problem is max g - m_f over the bound m_f, solved by double
+    greedy of g's rows less m_f's, which are read from m_f's prefix tables
+    (``_Solve.maximize``); a bound equal to the last one is not solved again.
     """
     opts = opts or SolveOptions(algorithm="supsub")
     if opts.algorithm != "supsub":
         raise ValueError(f"options specify {opts.algorithm!r}")
-    coeff = _resolve_dr_coeff(p.f, opts)
-    # g is fixed for the solve, so a repeated bound m_f repeats the inner problem
-    if isinstance(p.g, SeparableFunction):
-        maximize = _solve_once(lambda m_f: double_greedy_maximize(p.g - m_f))
-    else:
-        g = _RememberedRows(p.g)
-        maximize = _solve_once(lambda m_f: double_greedy_maximize(g, m_f))
+    solve = _Solve(p, opts, _resolve_dr_coeff(p.f, opts))
 
     def propose(x, rng):
         for variant in _variants(opts.ub_policy):
-            cand, val = maximize(separable_upper_bound(p.f, coeff, x, variant))
+            cand, val = solve.solved(solve.upper(x, variant), solve.maximize)
             yield cand, -val, f"supsub:{variant}"
 
-    return _run_loop(p, opts, propose)
+    return solve.run(propose)
 
 
 def modmod(p: DsProblem, opts: Optional[SolveOptions] = None) -> SolveReport:
-    """MM with both bounds; the separable surrogate is minimised exactly.
+    """MM with both bounds; the separable surrogate ub - h_g is minimised exactly.
 
-    The surrogate is ub - h_g.  One equal bit for bit to the last one solved
-    is not minimised again: its point and value are proposed once more.  As
-    in subsup, the chain bound h_g evaluates g only on the rows the chain
-    does not share, as a common prefix or suffix, with the last chain of the
-    solve (``_chain_bounds``).
+    A surrogate equal to the last one is not minimised again, and as in
+    subsup h_g evaluates g only on the rows the last chain lacks.
     """
     opts = opts or SolveOptions(algorithm="modmod")
     if opts.algorithm != "modmod":
         raise ValueError(f"options specify {opts.algorithm!r}")
-    coeff = _resolve_dr_coeff(p.f, opts)
-    if opts.budget is not None:
-        minimize = _solve_once(
-            lambda s: minimize_separable_cardinality(s, p.domain, opts.budget))
-    else:
-        minimize = _solve_once(minimize_separable)
-    bound_g = _chain_bounds(p.g)
+    solve = _Solve(p, opts, _resolve_dr_coeff(p.f, opts))
+
+    def minimize(s):
+        if opts.budget is None:
+            return minimize_separable(s)
+        return minimize_separable_cardinality(s, p.domain, opts.budget)
 
     def propose(x, rng):
         chain = _chain_containing(p.domain, x, opts.chain_mode, rng=rng)
-        h_g = bound_g(x, chain)
+        h_g = solve.lower(x, chain)
         for variant in _variants(opts.ub_policy):
-            cand, val = minimize(separable_upper_bound(p.f, coeff, x, variant) - h_g)
+            cand, val = solve.solved(solve.upper(x, variant) - h_g, minimize)
             yield cand, val, f"modmod:{variant}"
 
-    return _run_loop(p, opts, propose)
+    return solve.run(propose)
 
 
 def solve(p: DsProblem, opts: Optional[SolveOptions] = None) -> SolveReport:

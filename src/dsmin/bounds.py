@@ -180,16 +180,30 @@ def separable_upper_bound(f: OracleFunction, coeff: float, x,
     h_i(L) - h_i(R), read from the curves of h whatever the base.  tight1
     and tight2 then equal f itself and are returned as a copy of it.  Such a
     bound makes no oracle calls and agrees with the evaluated one up to
-    rounding.  f keeps quad and its residual curves for the last coeff it
-    was bounded with (``_separable_split``).
+    rounding.
     """
     if not isinstance(f, SeparableFunction):
         split = dr_split(f, coeff)
         return split.quad + dr_upper_bound(split.residual, x, variant)
+    return _separable_bound(f, _separable_split(f, float(coeff)), x, variant)
+
+
+def _separable_split(f: SeparableFunction, coeff: float):
+    """(quad, h): quad = coeff * sum_i x_i^2, and h_i(l) = f_i(l) - quad_i(l) laid end to end.
+
+    h_i(l) sits at ``_level_offsets[i] + l``.
+    """
     d = f.domain
-    quad, h = _separable_split(f, float(coeff))
+    quad = SeparableFunction._of_increments(d, 0.0, _quadratic_increments(d, coeff))
+    return quad, f._flat_prefixes - quad._flat_prefixes
+
+
+def _separable_bound(f: SeparableFunction, split, x, variant: str) -> SeparableFunction:
+    """``separable_upper_bound`` of a separable f from its ``_separable_split``."""
     if variant not in UB_VARIANTS:
         raise ValueError(f"variant must be one of {UB_VARIANTS}, got {variant!r}")
+    d = f.domain
+    quad, h = split
     anchor = d.require_batch([x])[0]
     if variant in ("tight1", "tight2"):
         return SeparableFunction._of_increments(d, f.constant, f._increments)
@@ -198,18 +212,3 @@ def separable_upper_bound(f: OracleFunction, coeff: float, x,
     phi = h[start + L] - h[start + R]
     hx = f._value_at(anchor) - quad._value_at(anchor)
     return quad + SeparableFunction._of_levels(d, phi, hx)
-
-
-def _separable_split(f: SeparableFunction, coeff: float):
-    """quad = coeff * sum_i x_i^2 and h_i(l) = f_i(l) - quad_i(l) laid end to end.
-
-    h_i(l) sits at ``_level_offsets[i] + l``.  Both depend only on f and
-    coeff, so f keeps them for the last coeff, keyed by its bits, and the
-    bounds of a solve build them once.
-    """
-    key = coeff.hex()
-    if f._split is None or f._split[0] != key:
-        d = f.domain
-        quad = SeparableFunction._of_increments(d, 0.0, _quadratic_increments(d, coeff))
-        f._split = key, quad, f._flat_prefixes - quad._flat_prefixes
-    return f._split[1:]

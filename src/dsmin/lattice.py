@@ -413,49 +413,26 @@ class _Sweep:
         return self.f._values(self.points())
 
 
-class _RememberedRows(OracleFunction):
-    """A view of g whose sweeps remember g's rows by the levels chosen before them.
+class _RememberedSweep(_Sweep):
+    """A sweep of g that remembers g's rows by the levels chosen before them.
 
-    A sweep row of g at coordinate i depends only on the chosen levels c_<i,
-    and supsub's double greedy runs ``double_greedy_maximize(view, m)`` ask
-    for rows at prefixes they have had.  The view keeps each coordinate's
-    rows, as g's own sweep computed and checked them, in a trie keyed by the
-    chosen levels.  A sweep through the view reads a remembered coordinate
-    and evaluates nothing; at a prefix not seen yet it catches g's own sweep
-    up with the chosen levels and keeps the rows that sweep returns.  A
-    refused row is not kept.  So ``g.call_count`` counts the rows evaluated.
-    The view's sweep takes the bound of g's own, for double greedy's check of
-    g - m.  A batch of the view is g's batch, and a composite above the view
-    evaluates batches, never the remembered rows.  The memo lives as long as
-    the view.
+    Sweeps built on one ``root`` share a trie of g's rows keyed by those
+    levels, each node ``[its rows, or None; {level: child node}]``.  A
+    remembered coordinate is read; at a prefix not seen yet, g's own sweep
+    is caught up with the chosen levels, and the rows it computes and checks
+    are kept (a refused row is not).  ``bound`` is the bound of g's own sweep.
     """
 
-    def __init__(self, g: OracleFunction):
-        self.g = g
-        self._root = [None, {}]  # a node: [its rows, or None; {level: child node}]
-        self._bound = g._sweep().bound
-        super().__init__(g.domain, name=g.name, batch_fn=g._values)
-
-    def _batch(self, X: np.ndarray) -> np.ndarray:
-        return self.g._batch(X)
-
-    def _sweep(self) -> "_Sweep":
-        return _RememberedSweep(self)
-
-
-class _RememberedSweep(_Sweep):
-    """A sweep of a ``_RememberedRows`` view (see there)."""
-
-    def __init__(self, f: _RememberedRows):
-        super().__init__(f, f._bound)
-        self.node = f._root
+    def __init__(self, g: OracleFunction, root: list, bound: float):
+        super().__init__(g, bound)
+        self.node = root
         self.inner = None  # g's own sweep, made at the first prefix not remembered
 
     def rows(self) -> np.ndarray:
         values = self.node[0]
         if values is None:
             if self.inner is None:
-                self.inner = self.f.g._sweep()
+                self.inner = self.f._sweep()
                 for level in self.chosen:
                     self.inner.choose(level)
             values = self.node[0] = self.inner.rows()
@@ -534,9 +511,6 @@ class SeparableFunction(OracleFunction):
         self.constant = float(constant)
         self._increments = increments
         super().__init__(domain, name=name)
-
-    # ``bounds._separable_split`` for the last coefficient: (its bits, quad, f - quad's prefixes)
-    _split = None
 
     # Filled on first read, after which each is a plain instance attribute.
     @functools.cached_property

@@ -53,6 +53,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import warnings
 from typing import Optional
 
@@ -107,9 +108,14 @@ def _expect_list(obj, path, length=None):
     return obj
 
 
+def _is_number(val, kind=numbers.Real) -> bool:
+    """Whether val is a ``kind`` scalar, Python's or numpy's, and not a boolean."""
+    return isinstance(val, kind) and not isinstance(val, (bool, np.bool_))
+
+
 def _expect_number(val, path) -> float:
-    """A finite JSON number (``true``/``false``, NaN and +-Infinity are refused)."""
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
+    """A finite number (``true``/``false``, NaN and +-Infinity are refused)."""
+    if not _is_number(val):
         _fail(path, f"expected a number, got {val!r}")
     try:
         num = float(val)
@@ -132,7 +138,7 @@ def _expect_numbers(obj, path, length=None) -> np.ndarray:
         except OverflowError:  # an integer beyond the float range
             pass
     for idx, val in enumerate(obj):
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
+        if not _is_number(val):
             _fail(f"{path}[{idx}]", f"expected a number, got {val!r}")
     return np.array([_expect_number(val, f"{path}[{idx}]") for idx, val in enumerate(obj)])
 
@@ -278,19 +284,20 @@ def build_problem(spec: dict, validate: bool = True, cap=None):
     if not isinstance(spec, dict):
         _fail("$", "expected a JSON object")
     version = spec.get("version")
-    if version != SCHEMA_VERSION or isinstance(version, bool):
+    if version != SCHEMA_VERSION or isinstance(version, (bool, np.bool_)):
         _fail("version", f"expected {SCHEMA_VERSION}, got {version!r}")
     sizes = spec.get("sizes")
     _expect_list(sizes, "sizes")
     for i, k in enumerate(sizes):
-        if not isinstance(k, int) or isinstance(k, bool) or k < 2:
+        if not _is_number(k, numbers.Integral) or k < 2:
             _fail(f"sizes[{i}]", f"expected an integer >= 2, got {k!r}")
     domain = LatticeDomain(sizes)
 
     budget = spec.get("budget")
-    if budget is not None and (not isinstance(budget, int) or isinstance(budget, bool)
-                               or budget < 0):
-        _fail("budget", f"expected a nonnegative integer, got {budget!r}")
+    if budget is not None:
+        if not _is_number(budget, numbers.Integral) or budget < 0:
+            _fail("budget", f"expected a nonnegative integer, got {budget!r}")
+        budget = int(budget)
     options = {"budget": budget}
 
     has_pair = "f" in spec or "g" in spec

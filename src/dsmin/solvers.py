@@ -119,9 +119,7 @@ def double_greedy_maximize(g: OracleFunction, m: Optional[SeparableFunction] = N
     g.  m's type and domain are checked before g is called, and m is never
     called: its values are read from its prefix tables, its rows by
     ``lattice._SeparableSweep.floats``, and subtracted from g's as Python
-    floats.  supsub passes its bound m_f so, with a view of its g that
-    remembers g's rows across the runs of one solve
-    (``lattice._RememberedRows``): g counts only the rows evaluated.
+    floats.
 
     g's rows are checked as g's own sweep checks them, so a non-finite value
     of g is refused by g before anything is subtracted.  The values of g - m
@@ -149,10 +147,18 @@ def double_greedy_maximize(g: OracleFunction, m: Optional[SeparableFunction] = N
         if not isinstance(m, SeparableFunction):
             raise TypeError(f"m must be a SeparableFunction, got {type(m).__name__}")
         _same_domain(g, m)
+    return _double_greedy(g, m, g._sweep())
+
+
+def _double_greedy(g: OracleFunction, m: Optional[SeparableFunction], sweep):
+    """``double_greedy_maximize(g, m)`` reading g's rows from ``sweep``, m unchecked.
+
+    ``sweep`` is a sweep of g at its first coordinate: g's own, or one that
+    reads rows an earlier run evaluated (``lattice._RememberedSweep``).
+    """
     d = g.domain
     ends = np.stack([np.zeros(d.n, dtype=np.int64), d._k_max])
     ga, gb = g._batch(ends).tolist()
-    sweep = g._sweep()
     if m is not None:
         m_sweep = m._sweep()
         ga, gb = _difference(g, m, [ga, gb], m.values_at(ends).tolist(), lambda: ends)

@@ -311,7 +311,8 @@ def test_solves_leave_no_reference_cycles():
 # A repeated surrogate is solved once
 # ---------------------------------------------------------------------------
 
-INNER_SOLVERS = ("double_greedy_maximize", "minimize_separable", "minimize_separable_cardinality")
+INNER_SOLVERS = ("double_greedy_maximize", "_double_greedy", "minimize_separable",
+                 "minimize_separable_cardinality")
 MEMO_CASES = [(algorithm, budget, policy)
               for algorithm, budget in (("supsub", None), ("modmod", None), ("modmod", 3))
               for policy in d.algorithms.UB_POLICIES]
@@ -329,8 +330,8 @@ def _counted_solve(monkeypatch, p, opts, memo=True):
     the rows of g that supsub's row memo or the chain memo of modmod and
     subsup served instead of evaluating them.
 
-    ``memo=False`` patches off all three memos: the repeated-surrogate memo,
-    the row memo and the chain memo."""
+    ``memo=False`` patches off all three memos of ``_Solve``: the
+    repeated-surrogate memo, the row memo and the chain memo."""
     runs, served = [], []
     with monkeypatch.context() as m:
         for name in INNER_SOLVERS:
@@ -340,28 +341,24 @@ def _counted_solve(monkeypatch, p, opts, memo=True):
             m.setattr(d.algorithms, name, counted)
 
         def rows(sweep, _real=d.lattice._RememberedSweep.rows):
-            before = sweep.f.g.call_count
+            before = sweep.f.call_count
             values = _real(sweep)
-            if sweep.f.g.call_count == before:
+            if sweep.f.call_count == before:
                 served.append(values.size)
             return values
         m.setattr(d.lattice._RememberedSweep, "rows", rows)
 
-        def chain_bounds(g, _real=d.algorithms._chain_bounds):
-            bound = _real(g)
-
-            def counted(x, chain):
-                before = g.call_count
-                h_g = bound(x, chain)
-                served.append(chain.length + 1 - (g.call_count - before))
-                return h_g
-            return counted
-        m.setattr(d.algorithms, "_chain_bounds", chain_bounds)
+        def lower(solve, x, chain, _real=d.algorithms._Solve.lower):
+            before = solve.p.g.call_count
+            h_g = _real(solve, x, chain)
+            served.append(chain.length + 1 - (solve.p.g.call_count - before))
+            return h_g
+        m.setattr(d.algorithms._Solve, "lower", lower)
         if not memo:
-            m.setattr(d.algorithms, "_solve_once", lambda solver: solver)
-            m.setattr(d.algorithms, "_RememberedRows", lambda g: g)
-            m.setattr(d.algorithms, "_chain_bounds",
-                      lambda g: lambda x, chain: d.chain_lower_bound(g, x, chain))
+            m.setattr(d.algorithms._Solve, "solved", lambda solve, s, solver: solver(s))
+            m.setattr(d.algorithms, "_RememberedSweep", lambda g, root, bound: g._sweep())
+            m.setattr(d.algorithms._Solve, "lower",
+                      lambda solve, x, chain: d.chain_lower_bound(solve.p.g, x, chain))
         f0, g0 = p.f.call_count, p.g.call_count
         report = d.solve(p, opts)
     return report, len(runs), (p.f.call_count - f0, p.g.call_count - g0), sum(served)
@@ -420,16 +417,17 @@ class TestRepeatedSurrogates:
     def test_a_zero_of_the_other_sign_is_solved_again(self):
         dom = d.LatticeDomain([3, 2])
         solved = []
-        solve = d.algorithms._solve_once(lambda s: solved.append(s) or len(solved))
+        memo = d.algorithms._Solve(None, d.SolveOptions())
 
-        def surrogate(constant, zero):
-            return d.SeparableFunction(dom, constant, [[1.0, zero], [2.0]])
+        def solve(constant, zero):
+            s = d.SeparableFunction(dom, constant, [[1.0, zero], [2.0]])
+            return memo.solved(s, lambda surrogate: solved.append(surrogate) or len(solved))
 
-        assert solve(surrogate(0.0, 0.0)) == 1
-        assert solve(surrogate(0.0, 0.0)) == 1
-        assert solve(surrogate(-0.0, 0.0)) == 2   # the constant's sign
-        assert solve(surrogate(-0.0, -0.0)) == 3  # an increment's sign
-        assert solve(surrogate(0.0, 0.0)) == 4    # only the last surrogate is kept
+        assert solve(0.0, 0.0) == 1
+        assert solve(0.0, 0.0) == 1
+        assert solve(-0.0, 0.0) == 2   # the constant's sign
+        assert solve(-0.0, -0.0) == 3  # an increment's sign
+        assert solve(0.0, 0.0) == 4    # only the last surrogate is kept
 
     @pytest.mark.parametrize("algorithm,budget", [("supsub", None), ("modmod", None),
                                                   ("modmod", 3)])
@@ -516,7 +514,7 @@ class TestChainMemo:
         c0, c1 = (d.chain_containing(dom, x) for x in (x0, x1))
         point = next(y for y in c1.points if y not in c0.points)
         g = _poisoned(p.g, point, times=1)
-        bound = d.algorithms._chain_bounds(g)
+        bound = d.algorithms._Solve(d.DsProblem(p.f, g), d.SolveOptions()).lower
         bound(x0, c0)
         before = g.call_count
         with pytest.raises(ValueError, match="returned inf"):
@@ -536,7 +534,7 @@ class TestChainMemo:
         p = _coverage_problems()[1]
         dom, rng = p.domain, np.random.default_rng(3)
         public = d.OracleFunction(dom, batch_fn=p.g._values)
-        bound = d.algorithms._chain_bounds(p.g)
+        bound = d.algorithms._Solve(p, d.SolveOptions()).lower
         last = None
         for k in range(12):
             x = tuple(rng.integers(0, dom.sizes).tolist())

@@ -502,25 +502,32 @@ def _paths(sizes, seed):
     return paths
 
 
+def _remembering(g):
+    """The root of an empty trie of g's rows, and a maker of sweeps of g that share it."""
+    root, bound = [None, {}], g._sweep().bound
+    return root, lambda: d.lattice._RememberedSweep(g, root, bound)
+
+
 @settings(max_examples=30, deadline=None)
 @given(sizes=sizes_st, seed=st.integers(0, 10**6))
 def test_remembered_rows_are_the_rows_a_fresh_sweep_computes(sizes, seed):
-    """Sweeps of a view along paths that share prefixes, for a coverage, a
-    table and a composite g: each of g's rows, remembered or not, is bit for
-    bit the row a fresh sweep of g computes at that prefix, and g counts only
-    the rows evaluated at a prefix not seen before.  Double greedy of the
-    view and s then gives the result of g and s, and g counts 2 plus the
-    rows at prefixes no sweep chose."""
+    """Remembering sweeps sharing one trie, along paths that share prefixes,
+    for a coverage, a table and a composite g: each of g's rows, remembered
+    or not, is bit for bit the row a fresh sweep of g computes at that
+    prefix, and g counts only the rows evaluated at a prefix not seen
+    before.  Double greedy of g and s on a remembering sweep then gives the
+    result of g and s, and g counts 2 plus the rows at prefixes no sweep
+    chose."""
     problem = _coverage_g(sizes, seed)
     dom = problem.domain
     rng = np.random.default_rng(seed + 1)
     s = d.SeparableFunction(dom, 0.0, [rng.uniform(0, 0.6, size=k - 1) for k in sizes])
     table = d.TableFunction(dom, rng.uniform(-1.0, 1.0, size=dom.num_points))
     for g in (problem.g, table, table - problem.g):
-        view = d.lattice._RememberedRows(g)
+        _, remembering = _remembering(g)
         seen = set()
         for path in _paths(sizes, seed):
-            sweep, fresh = view._sweep(), g._sweep()
+            sweep, fresh = remembering(), g._sweep()
             for i, k in enumerate(sizes):
                 before = g.call_count
                 values = sweep.rows()
@@ -532,7 +539,7 @@ def test_remembered_rows_are_the_rows_a_fresh_sweep_computes(sizes, seed):
                 fresh.choose(path[i])
         expected = d.double_greedy_maximize(g, s)
         before = g.call_count
-        point, value = d.double_greedy_maximize(view, s)
+        point, value = d.solvers._double_greedy(g, s, remembering())
         assert bits((point, value)) == bits(expected)
         unseen = [2 * (k - 1) for i, k in enumerate(sizes) if point[:i] not in seen]
         assert g.call_count - before == 2 + sum(unseen)
@@ -540,9 +547,9 @@ def test_remembered_rows_are_the_rows_a_fresh_sweep_computes(sizes, seed):
 
 def test_a_refused_row_is_not_remembered():
     """g is +inf at (0, 1), or a composite that overflows there, and double
-    greedy of the view and m reaches (0, 1) at coordinate 1: each run refuses
-    it with g's own message.  The second run reads coordinate 0's rows from
-    the memo and evaluates coordinate 1's again."""
+    greedy of g and m on remembering sweeps reaches (0, 1) at coordinate 1:
+    each run refuses it with g's own message.  The second run reads
+    coordinate 0's rows from the trie and evaluates coordinate 1's again."""
     dom = d.LatticeDomain([3, 3])
     values = np.zeros(dom.num_points)
     values[dom.flat_index((0, 1))] = np.inf
@@ -550,14 +557,14 @@ def test_a_refused_row_is_not_remembered():
     values[dom.flat_index((0, 1))] = 1e308
     overflowing = d.TableFunction(dom, values) + 1e308
     for g in (table, overflowing):
-        view = d.lattice._RememberedRows(g)
+        root, remembering = _remembering(g)
         for calls in (2 + 4 + 4, 2 + 4):
             before = g.call_count
             with np.errstate(over="ignore"), pytest.raises(
                     ValueError, match=re.escape(f"{g!r} returned inf at point (0, 1)")):
-                d.double_greedy_maximize(view, d.SeparableFunction.zero(dom))
+                d.solvers._double_greedy(g, d.SeparableFunction.zero(dom), remembering())
             assert g.call_count - before == calls
-            assert view._root[0] is not None and view._root[1][0][0] is None
+            assert root[0] is not None and root[1][0][0] is None
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -667,9 +674,10 @@ def _ref_double_greedy_of_rows(g, m):
 def test_double_greedy_of_g_and_m_matches_the_reference_on_the_sweeps(sizes, seed, integer):
     """``double_greedy_maximize(g, m)`` is ``_ref_double_greedy_of_rows(g, m)``
     bit for bit, for a coverage, a table (integer-valued when ``integer``, so
-    gains tie), a composite and a ``_RememberedRows`` view of each, with m's
-    that share prefixes.  g makes 2 + 2 * sum(k_i - 1) calls; through the view,
-    2 plus the rows at prefixes no earlier run chose.  m is never called."""
+    gains tie) and a composite, with m's that share prefixes, and so is a
+    solve's ``maximize``, whose runs share one trie of g's rows.  g makes
+    2 + 2 * sum(k_i - 1) calls; through the solve, 2 plus the rows at
+    prefixes no earlier run chose.  m is never called."""
     problem = _coverage_g(sizes, seed)
     dom = problem.domain
     rng = np.random.default_rng(seed + 1)
@@ -678,7 +686,8 @@ def test_double_greedy_of_g_and_m_matches_the_reference_on_the_sweeps(sizes, see
     table = d.TableFunction(dom, values)
     per_run = 2 + sum(2 * (k - 1) for k in sizes)
     for g in (problem.g, table, table - problem.g):
-        view = d.lattice._RememberedRows(g)
+        solve = d.algorithms._Solve(d.DsProblem(d.SeparableFunction.zero(dom), g),
+                                    d.SolveOptions(algorithm="supsub"))
         seen = set()
         for m in _separable_ms(dom, seed + 2, integer):
             expected = _ref_double_greedy_of_rows(g, m)
@@ -686,7 +695,7 @@ def test_double_greedy_of_g_and_m_matches_the_reference_on_the_sweeps(sizes, see
             assert bits(d.double_greedy_maximize(g, m)) == bits(expected)
             assert g.call_count - before == per_run
             before = g.call_count
-            point, value = d.double_greedy_maximize(view, m)
+            point, value = solve.maximize(m)
             assert bits((point, value)) == bits(expected)
             unseen = [2 * (k - 1) for i, k in enumerate(sizes) if point[:i] not in seen]
             assert g.call_count - before == 2 + sum(unseen)
@@ -732,27 +741,31 @@ def test_double_greedy_of_g_and_m_checks_the_rows_the_bounds_leave_unproven(monk
     monkeypatch.setattr(d.solvers, "_difference", lambda g, m, gv, mv, points: checked.append(
         points is not None) or difference(g, m, gv, mv, points))
     table = d.TableFunction(dom, np.zeros(dom.num_points))
-    for g, rows_checked in ((problem.g, False), (d.lattice._RememberedRows(problem.g), False),
-                            (table, True)):
+    remembering = _remembering(problem.g)[1]
+    for run, rows_checked in ((lambda: d.double_greedy_maximize(problem.g, m), False),
+                              (lambda: d.solvers._double_greedy(problem.g, m, remembering()),
+                               False),
+                              (lambda: d.double_greedy_maximize(table, m), True)):
         checked.clear()
-        d.double_greedy_maximize(g, m)
+        run()
         assert checked == [True] + [rows_checked] * dom.n
 
 
 @pytest.mark.filterwarnings("error")
 def test_double_greedy_of_g_and_m_refuses_an_inf_of_g_by_g():
     """+inf in g at the start, where m is +inf everywhere, and in a sweep row:
-    g refuses it with its own message before anything is subtracted, directly
-    and through a view, and no RuntimeWarning is raised."""
+    g refuses it with its own message before anything is subtracted, on g's
+    own sweep and on a remembering one, and no RuntimeWarning is raised."""
     dom = d.LatticeDomain([3, 2])
     zeros = [[0.0, 0.0], [0.0]]
     for values, m, point in (
             ([np.inf] + [0.0] * 5, d.SeparableFunction(dom, np.inf, zeros), "(0, 0)"),
             ([0.0, 0.0, np.inf, 0.0, 0.0, 0.0], d.SeparableFunction(dom, 0.0, zeros), "(1, 0)")):
         g = d.TableFunction(dom, values)
-        for h in (g, d.lattice._RememberedRows(g)):
+        for run in (lambda: d.double_greedy_maximize(g, m),
+                    lambda: d.solvers._double_greedy(g, m, _remembering(g)[1]())):
             with pytest.raises(ValueError, match=re.escape(f"{g!r} returned inf at point {point}")):
-                d.double_greedy_maximize(h, m)
+                run()
         assert m.call_count == 0
 
 

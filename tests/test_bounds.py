@@ -189,18 +189,23 @@ def test_separable_f_bounds_are_read_from_its_tables(sizes, seed, slack):
             assert got.tobytes() == values.tobytes()
 
 
-def test_separable_bound_tables_are_kept_for_the_last_coeff():
-    """f keeps quad and f - quad for the last coeff, keyed by its bits: every
-    bound equals, bit for bit, the one a fresh copy of f gives."""
+def test_a_solve_builds_the_separable_split_once_and_bounds_bit_for_bit():
+    """A solve's ``upper`` builds f's split once, and every bound, under
+    coefficients that alternate from solve to solve, equals
+    ``separable_upper_bound``'s bit for bit, without calling f."""
     rng = np.random.default_rng(5)
     dom = d.LatticeDomain([3, 4, 2])
     f = d.SeparableFunction(dom, 0.3, [rng.normal(size=k - 1) for k in dom.sizes])
+    p = d.DsProblem(f, d.SeparableFunction.zero(dom))
     for coeff in (0.5, 0.5, 2.0, -0.0, 0.0, 0.5):
-        for variant in ("grow1", "grow2"):
+        solve = d.algorithms._Solve(p, d.SolveOptions(), coeff)
+        for variant in d.UB_VARIANTS:
             for x in [(0, 0, 0), (1, 3, 0), (2, 2, 1)]:
-                fresh = d.SeparableFunction(dom, f.constant, f.tables)
-                got, want = (d.separable_upper_bound(h, coeff, x, variant) for h in (f, fresh))
+                got = solve.upper(x, variant)
+                want = d.separable_upper_bound(f, coeff, x, variant)
                 assert got.constant.hex() == want.constant.hex()
                 assert got._increments.tobytes() == want._increments.tobytes()
-        assert f._split[0] == coeff.hex()
+        split = solve._f_split
+        solve.upper((0, 0, 0), "grow1")
+        assert solve._f_split is split
     assert f.call_count == 0

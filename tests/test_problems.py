@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -178,10 +179,25 @@ class TestHostileNumbers:
         with pytest.raises(d.ProblemFormatError, match=field + ": expected a finite number"):
             d.build_problem(_set(build(), path, bad))
 
+    @pytest.mark.parametrize("flag", [True, np.True_])
     @pytest.mark.parametrize("build, path, field", NUMERIC_FIELDS)
-    def test_bool_rejected_as_number(self, build, path, field):
+    def test_bool_rejected_as_number(self, build, path, field, flag):
         with pytest.raises(d.ProblemFormatError, match=field + ": expected a number"):
-            d.build_problem(_set(build(), path, True))
+            d.build_problem(_set(build(), path, flag))
+
+    @pytest.mark.parametrize("build, path, field", NUMERIC_FIELDS)
+    def test_numpy_numbers_accepted_as_their_value(self, build, path, field):
+        """A numpy float, or a numpy integer where the number is whole, builds
+        the problem the Python number builds."""
+        value = _get(build(), path)
+        kinds = [np.float64] + ([np.int64] if float(value).is_integer() else [])
+        want, _ = d.build_problem(build(), validate=False)
+        points = np.array(list(want.domain.points()))
+        for kind in kinds:
+            got, _ = d.build_problem(_set(build(), path, kind(value)), validate=False)
+            for side in ("f", "g"):
+                assert (getattr(got, side).batch(points).tobytes()
+                        == getattr(want, side).batch(points).tobytes()), (kind, side)
 
     def test_finite_values_whose_sum_overflows_accepted(self):
         spec = sqrt_table_spec()
@@ -195,11 +211,31 @@ class TestHostileNumbers:
         with pytest.raises(d.ProblemFormatError, match=r"g\.tables\[0\]\[0\]"):
             d.parse_problem(path)
 
+    @pytest.mark.parametrize("flag", [True, np.True_])
     @pytest.mark.parametrize("field", ["budget", "version"])
-    def test_bool_rejected_as_integer(self, field):
+    def test_bool_rejected_as_integer(self, field, flag):
         spec = sqrt_table_spec()
-        spec[field] = True
+        spec[field] = flag
         with pytest.raises(d.ProblemFormatError, match=field):
+            d.build_problem(spec)
+
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_bool_rejected_as_size(self, flag):
+        spec = sqrt_table_spec()
+        spec["sizes"][1] = flag
+        with pytest.raises(d.ProblemFormatError,
+                           match=re.escape(f"sizes[1]: expected an integer >= 2, got {flag!r}")):
+            d.build_problem(spec)
+
+    def test_numpy_integer_sizes_and_budget_accepted(self):
+        spec = sqrt_table_spec()
+        spec["sizes"] = list(np.array(spec["sizes"]))
+        spec["budget"] = np.int64(1)
+        problem, options = d.build_problem(spec)
+        assert problem.domain.sizes == (3, 3)
+        assert options["budget"] == 1 and type(options["budget"]) is int
+        spec["budget"] = np.float64(1.0)
+        with pytest.raises(d.ProblemFormatError, match="budget: expected a nonnegative integer"):
             d.build_problem(spec)
 
     def test_integer_budget_still_accepted(self):
