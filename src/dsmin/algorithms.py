@@ -49,6 +49,7 @@ from .decompose import DsProblem, monotone_form
 from .solvers import (
     SFM_METHODS,
     SubgradientOptions,
+    _check_count,
     _double_greedy,
     double_greedy_maximize,
     minimize_separable,
@@ -80,10 +81,12 @@ class SolveOptions:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
+        for name in ("epsilon", "dr_coeff"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not 0 <= self.epsilon < math.inf:
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        _check_count("max_iters", self.max_iters, 1)
         if self.ub_policy not in UB_POLICIES:
             raise ValueError(f"ub_policy must be one of {UB_POLICIES}")
         if self.chain_mode not in ("canonical", "randomized"):
@@ -92,8 +95,8 @@ class SolveOptions:
             raise ValueError(f"sfm_method must be one of {SFM_METHODS}")
         if self.dr_coeff is not None and not 0 <= self.dr_coeff < math.inf:
             raise ValueError(f"dr_coeff must be finite and >= 0, got {self.dr_coeff}")
-        if self.budget is not None and self.budget < 0:
-            raise ValueError(f"budget must be >= 0, got {self.budget}")
+        if self.budget is not None:
+            _check_count("budget", self.budget, 0)
         if self.budget is not None and self.algorithm != "modmod":
             raise ValueError("a cardinality budget is supported by modmod only")
 
@@ -243,7 +246,7 @@ class _Solve:
         self.p, self.opts, self.coeff = p, opts, coeff
         self._solved = None   # the last surrogate's key and its result
         self._chain = None    # the last chain's points and values of g
-        self._rows = None     # the trie of g's double greedy rows and g's sweep bound
+        self._rows = [None, {}]  # the root of the trie of g's double greedy rows
         self._f_split = None  # a separable f's quadratic split at coeff
 
     def solved(self, s: SeparableFunction, solver: Callable):
@@ -301,9 +304,7 @@ class _Solve:
         g = self.p.g
         if isinstance(g, SeparableFunction):
             return double_greedy_maximize(g - m)
-        if self._rows is None:
-            self._rows = [None, {}], g._sweep().bound
-        return _double_greedy(g, m, _RememberedSweep(g, *self._rows))
+        return _double_greedy(g, m, _RememberedSweep(g, self._rows))
 
     def run(self, propose: Callable) -> SolveReport:
         """The MM loop over the candidates ``propose(x, rng)`` yields at each iterate."""

@@ -106,7 +106,12 @@ class LatticeDomain:
         return (0,) * self.n
 
     def contains(self, x) -> bool:
-        return len(x) == self.n and all(0 <= x[i] <= self.sizes[i] - 1 for i in range(self.n))
+        """Whether ``require`` accepts x."""
+        try:
+            self.require_batch([x])
+        except DomainError:
+            return False
+        return True
 
     def require(self, x) -> tuple:
         """x as a tuple of ints in the domain: ``require_batch`` on one row."""
@@ -258,7 +263,7 @@ class OracleFunction:
             raise ValueError(f"batch_fn returned shape {values.shape} for {len(X)} points")
         return values
 
-    def _refuse(self, values: np.ndarray, X: np.ndarray):
+    def _refuse(self, values, X: np.ndarray):
         k = int(np.argmin(np.isfinite(values)))
         raise ValueError(f"{self!r} returned {values[k]} at point {tuple(X[k].tolist())}")
 
@@ -297,17 +302,12 @@ def _finite(values: np.ndarray) -> bool:
     return math.isfinite(np.vdot(values, values)) or bool(np.isfinite(values).all())
 
 
-# A sum of terms whose magnitudes total at most this stays finite, rounding included.
-_FINITE_TOTAL = 1e300
+def _finite_floats(values: list) -> bool:
+    """``_finite`` for Python floats: their sum is finite, or else a scan finds every one finite.
 
-
-def _bounded(total: float) -> bool:
-    """Whether ``total``, a bound on the magnitudes summed into each value, keeps them finite.
-
-    NaN is not bounded.  Sum the total in Python floats, which overflow to
-    inf without a warning.
+    A Python float sum overflows to inf without a warning.
     """
-    return bool(total <= _FINITE_TOTAL)
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
 
 
 def _same_domain(a: OracleFunction, b: OracleFunction):
@@ -365,31 +365,27 @@ class _Sweep:
     At coordinate i, with the levels c_<i of the earlier coordinates chosen,
     ``rows()`` returns f at the a-rows (c_<i, l, 0, ..., 0) for
     l = 1..k_i - 1, then at the b-rows (c_<i, l, k_max_>i) for
-    l = 0..k_i - 2, counted and checked as by ``_batch``.  ``choose(l)`` sets
-    c_i = l and moves on to coordinate i + 1.
+    l = 0..k_i - 2, as Python floats, counted as by ``_batch`` and checked
+    by ``_finite_floats``: f refuses the first non-finite row.  ``choose(l)``
+    sets c_i = l and moves on to coordinate i + 1.
 
     This form evaluates the rows as one batch of f, so they are the batch
     values, and a composite's parents count every row and refuse their own
     non-finite values before anything is combined.  A coverage or separable
     leaf returns a subclass from ``_sweep`` whose ``_values`` carries what
-    the chosen levels contribute from one coordinate to the next.  It passes
-    ``bound``, a bound on the magnitude of every row that its own arrays
-    prove (inf when unknown), and skips the check of rows that bound keeps
-    finite.
+    the chosen levels contribute from one coordinate to the next.
     """
 
-    def __init__(self, f: OracleFunction, bound: float = math.inf):
+    def __init__(self, f: OracleFunction):
         self.f = f
         self.chosen = []
         self.slices = f.domain._sweep_rows[0]
-        self.bound = bound
-        self.finite = _bounded(bound)
 
-    def rows(self) -> np.ndarray:
+    def rows(self) -> list:
         rows = self.slices[len(self.chosen)]
         self.f._count(rows.stop - rows.start)
         values = self._values(rows)
-        if not self.finite and not _finite(values):
+        if not _finite_floats(values):
             self.f._refuse(values, self.points())
         return values
 
@@ -408,9 +404,9 @@ class _Sweep:
         points[:, i] = levels[rows]
         return points
 
-    def _values(self, rows: slice) -> np.ndarray:
-        """f's values at ``rows``, neither counted nor checked on f itself."""
-        return self.f._values(self.points())
+    def _values(self, rows: slice) -> list:
+        """f's values at ``rows`` as Python floats, neither counted nor checked on f itself."""
+        return self.f._values(self.points()).tolist()
 
 
 class _RememberedSweep(_Sweep):
@@ -420,15 +416,15 @@ class _RememberedSweep(_Sweep):
     levels, each node ``[its rows, or None; {level: child node}]``.  A
     remembered coordinate is read; at a prefix not seen yet, g's own sweep
     is caught up with the chosen levels, and the rows it computes and checks
-    are kept (a refused row is not).  ``bound`` is the bound of g's own sweep.
+    are kept (a refused row is not).
     """
 
-    def __init__(self, g: OracleFunction, root: list, bound: float):
-        super().__init__(g, bound)
+    def __init__(self, g: OracleFunction, root: list):
+        super().__init__(g)
         self.node = root
         self.inner = None  # g's own sweep, made at the first prefix not remembered
 
-    def rows(self) -> np.ndarray:
+    def rows(self) -> list:
         values = self.node[0]
         if values is None:
             if self.inner is None:
@@ -636,17 +632,13 @@ class _SeparableSweep(_Sweep):
     a-row's terms are zeros, so constant + ((total + p_i(l)) + 0.0) is that
     sum bit for bit; the running total starts at -0.0, which adds exactly.  A
     b-row adds the suffix sum of the later coordinates' top prefixes instead,
-    which may round differently in the last bit.
-
-    Every value sums the constant and at most one prefix sum per coordinate,
-    so |constant| + sum_i max_l |p_i(l)| bounds its magnitude.
+    which may round differently in the last bit.  Python floats add as IEEE
+    doubles, as numpy's elementwise ops do.
     """
 
     def __init__(self, f: SeparableFunction):
-        d = f.domain
-        super().__init__(f, abs(f.constant) + sum(np.maximum.reduceat(
-            np.abs(f._flat_prefixes), d._level_offsets).tolist()))
-        self.terms = _sweep_terms(d, f._flat_prefixes, np.add, -0.0)
+        super().__init__(f)
+        self.terms = _sweep_terms(f.domain, f._flat_prefixes, np.add, -0.0)
         self.total = -0.0
 
     def choose(self, level: int):
@@ -654,18 +646,10 @@ class _SeparableSweep(_Sweep):
         self.total += float(f._flat_prefixes[f.domain._level_offsets[len(self.chosen)] + level])
         super().choose(level)
 
-    def floats(self, rows: slice) -> list:
-        """The values at ``rows`` as Python floats, neither counted nor checked.
-
-        Python floats add as IEEE doubles, as numpy's elementwise ops do, so
-        these are the rows of ``_values`` bit for bit.
-        """
+    def _values(self, rows: slice) -> list:
         constant, total = self.f.constant, self.total
         zeros_after = 0.0 if rows.stop < self.terms.size else -0.0  # none after the last coordinate
         return [constant + ((total + term) + zeros_after) for term in self.terms[rows].tolist()]
-
-    def _values(self, rows: slice) -> np.ndarray:
-        return np.array(self.floats(rows))
 
 
 def constant_function(domain: LatticeDomain, c: float) -> SeparableFunction:

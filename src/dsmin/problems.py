@@ -238,12 +238,8 @@ class _Coverage(OracleFunction):
         if self._sweep_factors is None:
             # each sweep row's miss factors: (1 - p_i)^l, times the later
             # coordinates' top factors for a b-row
-            factors = _sweep_terms(
+            self._sweep_factors = _sweep_terms(
                 self.domain, self._powers[self.domain._level_slots], np.multiply, 1.0)
-            # miss factors in [0, 1] keep each region's term within its |w_j|
-            in_unit = all(((0.0 <= a) & (a <= 1.0)).all() for a in (self._powers, factors))
-            self._sweep_bound = sum(np.abs(self._weights).tolist()) if in_unit else math.inf
-            self._sweep_factors = factors
         return _CoverageSweep(self)
 
 
@@ -254,12 +250,11 @@ class _CoverageSweep(_Sweep):
     a-row's factors after coordinate i are 1.0, so missed * (1 - p_i)^l is
     its product bit for bit.  A b-row's product takes the later coordinates'
     top factors as one suffix product, which may round differently in the
-    last bit.  When every miss factor lies in [0, 1], the weights' total
-    magnitude bounds every row.
+    last bit.
     """
 
     def __init__(self, f: _Coverage):
-        super().__init__(f, f._sweep_bound)
+        super().__init__(f)
         self.missed = np.ones(f._powers.shape[1])
 
     def choose(self, level: int):
@@ -267,9 +262,10 @@ class _CoverageSweep(_Sweep):
         self.missed = self.missed * f._powers[f._offsets[len(self.chosen)] + level]
         super().choose(level)
 
-    def _values(self, rows: slice) -> np.ndarray:
+    def _values(self, rows: slice) -> list:
         f = self.f
-        return np.add.reduce((1.0 - self.missed * f._sweep_factors[rows]) * f._weights, axis=1)
+        return np.add.reduce((1.0 - self.missed * f._sweep_factors[rows]) * f._weights,
+                             axis=1).tolist()
 
 
 def build_problem(spec: dict, validate: bool = True, cap=None):

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .extension import Profile, _gains_along, _greedy_walk, _thresholds
-from .lattice import (LatticeDomain, OracleFunction, SeparableFunction, _bounded, _same_domain,
-                      _Tabulation)
+from .lattice import (LatticeDomain, OracleFunction, SeparableFunction, _finite_floats,
+                      _same_domain, _Tabulation)
 
 
 def minimize_separable(s: SeparableFunction, domain: Optional[LatticeDomain] = None):
@@ -50,7 +51,7 @@ def minimize_separable_cardinality(s: SeparableFunction, domain: Optional[Lattic
     -0.0.
 
     A curve holding NaN or +-inf, or curves whose lowest levels could sum
-    past the float range (``lattice._bounded``), raise a ValueError: a -inf
+    past the float range (the 1e300 check below), raise a ValueError: a -inf
     sum would meet the +inf of the grid's padding or of a level above the
     budget as NaN, which argmin picks, so the point could leave the domain
     or the budget.
@@ -65,7 +66,8 @@ def minimize_separable_cardinality(s: SeparableFunction, domain: Optional[Lattic
 
     grid = s._prefix_grid
     lows = grid.min(axis=1)
-    if not (np.isfinite(s._flat_prefixes).all() and _bounded(-sum(lows.tolist()))):
+    # Summed as Python floats, which overflow to inf without a warning; a NaN total fails.
+    if not (np.isfinite(s._flat_prefixes).all() and -sum(lows.tolist()) <= 1e300):
         raise ValueError(f"{s!r}: the budget program needs finite prefix curves whose "
                          "lowest levels sum within the float range")
     kept = np.flatnonzero(lows < 0.0)
@@ -111,37 +113,29 @@ def double_greedy_maximize(g: OracleFunction, m: Optional[SeparableFunction] = N
     a, but the one farthest from b_i when lowering b.  Both points then
     agree on the coordinate.
 
-    Each point is evaluated once: g(a) and g(b) at the start, then the
-    2(k_i - 1) level rows of each coordinate, from g's sweep (see
-    ``lattice._Sweep``).  The new a and b are rows of the sweep or
-    unchanged, so their values are carried forward, and the returned value
-    is the carried h(a).  That is exactly 2 + 2 * sum_i (k_i - 1) calls of
-    g.  m's type and domain are checked before g is called, and m is never
-    called: its values are read from its prefix tables, its rows by
-    ``lattice._SeparableSweep.floats``, and subtracted from g's as Python
-    floats.
+    g is called exactly 2 + 2 * sum_i (k_i - 1) times: at a and b, then at
+    the 2(k_i - 1) level rows of each coordinate, read from g's sweep
+    (``lattice._Sweep``).  The new a and b are rows or unchanged, so their
+    values are carried forward, and the returned value is the carried h(a).
+    m is never called: its type and domain are checked before g is called,
+    and its values are read from its prefix tables and its sweep.
 
-    g's rows are checked as g's own sweep checks them, so a non-finite value
-    of g is refused by g before anything is subtracted.  The values of g - m
-    are checked unless the bounds of g's and m's sweeps prove them finite:
-    a non-finite value of m is refused by m, and one of the difference
-    raises a ValueError naming g and m.
+    Every value is checked: g refuses a non-finite value of its own before
+    anything is subtracted, m refuses one of its own, and a non-finite value
+    of g - m raises a ValueError naming g and m.  A coordinate's rows are
+    compared as Python floats: the gains one by one, and the first best
+    level on each side by ``max`` and ``index``.
 
-    Each coordinate's rows are compared as Python floats: the gains one by
-    one, and the first best level on each side by ``max`` and ``index``.
-
-    A coverage or separable sweep, g's or m's, carries the chosen levels
-    from one coordinate to the next.  Its a-rows are the batch values bit
-    for bit, and so is the returned value.  Its b-rows take the later
-    coordinates' top levels as one suffix sum or product, so the b-side
-    gains, compared within this call and never returned, may differ from
-    the batch ones in the last bit: a choice could differ only between gains
-    equal to within rounding.  Any other oracle's rows, a composite's
-    included, are its batch values.
+    The a-rows, and so the returned value, are h's batch values bit for bit.
+    A coverage or separable sweep, g's or m's, takes the later coordinates'
+    top levels of a b-row as one suffix sum or product, so a b-side gain may
+    differ from the batch one in the last bit: a choice could differ only
+    between gains equal to within rounding.  Any other oracle's rows, a
+    composite's included, are its batch values.
 
     For nonnegative submodular h the returned value is at least 1/3 of the
-    maximum; the factor is inherited from the classical double greedy and
-    checked empirically by the test suite.
+    maximum, the factor of the classical double greedy; the test suite
+    checks it on random instances.
     """
     if m is not None:
         if not isinstance(m, SeparableFunction):
@@ -151,7 +145,7 @@ def double_greedy_maximize(g: OracleFunction, m: Optional[SeparableFunction] = N
 
 
 def _double_greedy(g: OracleFunction, m: Optional[SeparableFunction], sweep):
-    """``double_greedy_maximize(g, m)`` reading g's rows from ``sweep``, m unchecked.
+    """``double_greedy_maximize(g, m)`` reading g's rows from ``sweep``, m's type unchecked.
 
     ``sweep`` is a sweep of g at its first coordinate: g's own, or one that
     reads rows an earlier run evaluated (``lattice._RememberedSweep``).
@@ -162,15 +156,12 @@ def _double_greedy(g: OracleFunction, m: Optional[SeparableFunction], sweep):
     if m is not None:
         m_sweep = m._sweep()
         ga, gb = _difference(g, m, [ga, gb], m.values_at(ends).tolist(), lambda: ends)
-        # rows that the bounds of g's and m's sweeps prove finite are not checked
-        checked = not _bounded(sweep.bound + m_sweep.bound)
     # at coordinate i, a_i = 0 and b_i = top: the a-rows raise a_i to 1..top,
     # the b-rows lower b_i to 0..top - 1
     for top, rows in zip(d.k_max, d._sweep_rows[0]):
-        values = sweep.rows().tolist()
+        values = sweep.rows()
         if m is not None:
-            values = _difference(g, m, values, m_sweep.floats(rows),
-                                 sweep.points if checked else None)
+            values = _difference(g, m, values, m_sweep._values(rows), sweep.points)
         up_gains = [v - ga for v in values[:top]]
         down_gains = [v - gb for v in values[top:]]
         # the first best level on each side; a side whose best gain is not positive stays put
@@ -191,16 +182,16 @@ def _double_greedy(g: OracleFunction, m: Optional[SeparableFunction], sweep):
 
 def _difference(g: OracleFunction, m: SeparableFunction, g_values: list, m_values: list,
                 points) -> list:
-    """g's values less m's, as Python floats, checked unless ``points`` is None.
+    """g's values less m's, as Python floats, checked by ``lattice._finite_floats``.
 
     ``points()`` gives the points of the values.  A non-finite value of m is
     refused by m; one of the difference raises a ValueError naming g and m.
     """
     values = [v - w for v, w in zip(g_values, m_values)]
-    if points is not None and not all(map(math.isfinite, values)):
+    if not _finite_floats(values):
         X = points()
-        if not all(map(math.isfinite, m_values)):
-            m._refuse(np.array(m_values), X)
+        if not _finite_floats(m_values):
+            m._refuse(m_values, X)
         k = next(k for k, v in enumerate(values) if not math.isfinite(v))
         raise ValueError(f"{g!r} - {m!r} returned {values[k]} at point {tuple(X[k].tolist())}")
     return values
@@ -258,18 +249,26 @@ SFM_TOL = 1e-9
 CORRAL_TOL = 1e-12
 
 
+def _check_count(name: str, value, low: int):
+    """Refuse ``value``, naming it ``name``, unless it is an integer >= ``low``: numpy
+    integers pass; booleans and floats, integral or not, do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 @dataclass
 class SubgradientOptions:
-    """Options of minimize_submodular(method="subgradient").
-
-    The name is historical: the method is now a certified minimum-norm-point
-    solver, and ``iterations`` is its budget of bound evaluations.
+    """Options of minimize_submodular(method="subgradient"), the certified
+    minimum-norm-point solver.  ``iterations``, an integer >= 1, caps its
+    iterations: t of them make at most (t + 1)(r + 1) oracle calls, with
+    r = sum_i (k_i - 1).
     """
     iterations: int = 500
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError(f"SFM iterations must be >= 1, got {self.iterations}")
+        _check_count("SFM iterations", self.iterations, 1)
 
 
 @dataclass

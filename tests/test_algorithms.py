@@ -211,10 +211,18 @@ class TestDescentAndTraces:
         ("modmod", "epsilon", math.nan), ("modmod", "epsilon", math.inf),
         ("modmod", "epsilon", -0.1), ("supsub", "dr_coeff", math.inf),
         ("modmod", "dr_coeff", math.nan), ("subsup", "dr_coeff", -1.0),
-        ("modmod", "budget", -1)])
+        ("modmod", "budget", -1), ("modmod", "budget", 1.5), ("modmod", "budget", np.True_),
+        ("modmod", "max_iters", 0), ("supsub", "max_iters", 2.5), ("modmod", "max_iters", 2.0),
+        ("subsup", "max_iters", True), ("modmod", "epsilon", True),
+        ("supsub", "dr_coeff", False), ("modmod", "dr_coeff", np.True_)])
     def test_bad_values_rejected_up_front(self, algorithm, field, value):
+        """Booleans pass as numbers, and a float count fails mid-solve or rounds silently."""
         with pytest.raises(ValueError, match=f"^{field} must be"):
             d.SolveOptions(algorithm=algorithm, **{field: value})
+
+    def test_numpy_integers_accepted(self):
+        opts = d.SolveOptions(algorithm="modmod", max_iters=np.int64(3), budget=np.int32(2))
+        assert d.modmod(sqrt_sum_problem(), opts).accepted_steps <= 3
 
     def test_unknown_sfm_method_rejected_up_front(self):
         with pytest.raises(ValueError, match="sfm_method"):
@@ -344,7 +352,7 @@ def _counted_solve(monkeypatch, p, opts, memo=True):
             before = sweep.f.call_count
             values = _real(sweep)
             if sweep.f.call_count == before:
-                served.append(values.size)
+                served.append(len(values))
             return values
         m.setattr(d.lattice._RememberedSweep, "rows", rows)
 
@@ -356,7 +364,7 @@ def _counted_solve(monkeypatch, p, opts, memo=True):
         m.setattr(d.algorithms._Solve, "lower", lower)
         if not memo:
             m.setattr(d.algorithms._Solve, "solved", lambda solve, s, solver: solver(s))
-            m.setattr(d.algorithms, "_RememberedSweep", lambda g, root, bound: g._sweep())
+            m.setattr(d.algorithms, "_RememberedSweep", lambda g, root: g._sweep())
             m.setattr(d.algorithms._Solve, "lower",
                       lambda solve, x, chain: d.chain_lower_bound(solve.p.g, x, chain))
         f0, g0 = p.f.call_count, p.g.call_count

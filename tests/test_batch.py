@@ -7,6 +7,7 @@ scalar references (the per-point loops they replaced) for equal results and
 equal call counts.
 """
 
+import functools
 import math
 import re
 
@@ -346,9 +347,10 @@ def test_sweep_a_rows_equal_batch_bitwise_and_count_rows(sizes, seed):
             after = [o.call_count for o in [fn] + parents]
             assert [b - a for a, b in zip(before, after)] == [2 * (k - 1)] * len(after), label
             expected = fn._batch(points)
-            assert values[:k - 1].tobytes() == expected[:k - 1].tobytes(), label
+            assert all(type(v) is float for v in values), label
+            assert bits(values[:k - 1]) == bits(expected[:k - 1].tolist()), label
             if type(sweep) is d.lattice._Sweep:
-                assert values.tobytes() == expected.tobytes(), label
+                assert bits(values) == bits(expected.tolist()), label
             np.testing.assert_allclose(values[k - 1:], expected[k - 1:], rtol=1e-12, atol=1e-12)
             sweep.choose(chosen[i])
 
@@ -360,7 +362,7 @@ def test_sweep_keeps_the_sign_of_zero(sizes):
     sweep = fn._sweep()
     for k in sizes:
         values = sweep.rows()
-        assert values[:k - 1].tobytes() == fn._batch(sweep.points())[:k - 1].tobytes()
+        assert bits(values[:k - 1]) == bits(fn._batch(sweep.points())[:k - 1].tolist())
         sweep.choose(0)
 
 
@@ -406,7 +408,7 @@ def test_nested_composite_sweep_counts_every_node_and_matches_batch(sizes, seed)
         before = [o.call_count for o in nodes]
         values = sweep.rows()
         assert [o.call_count - c for o, c in zip(nodes, before)] == [2 * (k - 1)] * 5
-        assert values.tobytes() == top._batch(points).tobytes()
+        assert bits(values) == bits(top._batch(points).tolist())
         sweep.choose(chosen[i])
     top, nodes = _nested(sizes, seed)
     ref = _counted(_nested(sizes, seed)[0])
@@ -434,38 +436,56 @@ def test_nested_composite_sweep_refuses_an_inner_inf_before_combining():
         assert nodes[3].call_count == 4
 
 
-def test_a_separable_sweep_near_overflow_keeps_its_check():
-    """Prefix sums of 1e308 are finite, but their total bound is not: the sweep
-    cannot prove its rows finite, so it still refuses the row that overflows.
-    A bounded function's sweep skips the check."""
+def _counting_checks(monkeypatch):
+    """The lengths of the lists of Python floats checked from now on, in order."""
+    checks = []
+    finite = d.lattice._finite_floats
+
+    def counted(values):
+        checks.append(len(values))
+        return finite(values)
+    monkeypatch.setattr(d.lattice, "_finite_floats", counted)
+    monkeypatch.setattr(d.solvers, "_finite_floats", counted)
+    return checks
+
+
+def test_a_separable_sweep_near_overflow_checks_every_row(monkeypatch):
+    """Prefix sums of 1e308 are finite, but the row that adds two is not: the
+    sweep refuses it with s's own message.  A function whose rows cannot
+    overflow has every row checked too."""
     dom = d.LatticeDomain([2, 3])
     s = d.SeparableFunction(dom, 0.0, [[1e308], [1e308, -1e308]])
     sweep = s._sweep()
-    assert not sweep.finite
-    assert sweep.rows().tolist() == [1e308, 0.0]  # at (1, 0) and (0, 2)
+    assert sweep.rows() == [1e308, 0.0]  # at (1, 0) and (0, 2)
     sweep.choose(1)
-    with np.errstate(over="ignore"), pytest.raises(
-            ValueError, match=re.escape(f"{s!r} returned inf at point (1, 1)")):
+    with pytest.raises(ValueError, match=re.escape(f"{s!r} returned inf at point (1, 1)")):
         sweep.rows()
     assert s.call_count == 2 + 4
-    assert d.SeparableFunction(dom, -1e299, [[1e299], [1e299, -1e299]])._sweep().finite
+    checks = _counting_checks(monkeypatch)
+    sweep = d.SeparableFunction(dom, -1e299, [[1e299], [1e299, -1e299]])._sweep()
+    for level in (1, 0):
+        sweep.rows()
+        sweep.choose(level)
+    assert checks == [2, 4]
 
 
-def test_a_coverage_sweep_proves_its_rows_finite_only_with_bounded_weights():
-    """Miss factors in [0, 1] keep each region's term within |w_j|: bounded
-    weights prove every row finite; weights whose total overflows keep the
-    check, which refuses the overflowing row."""
+def test_a_coverage_sweep_checks_every_row(monkeypatch):
+    """Miss factors in [0, 1] and bounded weights or not, every row is
+    checked: weights whose total overflows have the overflowing row refused."""
     spec = d.generate_ensemble("coverage", {"count": 1, "sizes": [3, 2], "regions": 2},
                                seed=1)[0]
-    assert d.build_problem(spec, validate=False)[0].g._sweep().finite
+    checks = _counting_checks(monkeypatch)
+    sweep = d.build_problem(spec, validate=False)[0].g._sweep()
+    for level in (2, 1):
+        sweep.rows()
+        sweep.choose(level)
+    assert checks == [4, 2]
     spec["g"]["probs"] = [[1.0, 1.0], [1.0, 1.0]]
     spec["g"]["weights"] = [1e308, 1e308]
     g = d.build_problem(spec, validate=False)[0].g
-    sweep = g._sweep()
-    assert not sweep.finite
     with np.errstate(over="ignore"), pytest.raises(
             ValueError, match=re.escape(f"{g!r} returned inf at point (1, 0)")):
-        sweep.rows()
+        g._sweep().rows()
 
 
 def test_a_composite_checks_its_rows_at_every_node(monkeypatch):
@@ -475,8 +495,8 @@ def test_a_composite_checks_its_rows_at_every_node(monkeypatch):
     problem = _coverage_g([3, 4, 2], 7)
     dom = problem.domain
     s = d.SeparableFunction(dom, 0.5, [np.full(k - 1, 0.25) for k in dom.sizes])
-    checks = []
-    finite = d.lattice._finite
+    checks = _counting_checks(monkeypatch)  # the top node's check
+    finite = d.lattice._finite  # the inner nodes' checks of their batches
     monkeypatch.setattr(d.lattice, "_finite", lambda v: checks.append(len(v)) or finite(v))
     sweep = (1e300 * (problem.g - s))._sweep()
     for level in (1, 2, 0):
@@ -504,8 +524,8 @@ def _paths(sizes, seed):
 
 def _remembering(g):
     """The root of an empty trie of g's rows, and a maker of sweeps of g that share it."""
-    root, bound = [None, {}], g._sweep().bound
-    return root, lambda: d.lattice._RememberedSweep(g, root, bound)
+    root = [None, {}]
+    return root, lambda: d.lattice._RememberedSweep(g, root)
 
 
 @settings(max_examples=30, deadline=None)
@@ -533,7 +553,7 @@ def test_remembered_rows_are_the_rows_a_fresh_sweep_computes(sizes, seed):
                 values = sweep.rows()
                 assert g.call_count - before == (0 if tuple(path[:i]) in seen else 2 * (k - 1))
                 assert values is sweep.node[0]
-                assert values.tobytes() == fresh.rows().tobytes()
+                assert bits(values) == bits(fresh.rows())
                 seen.add(tuple(path[:i]))
                 sweep.choose(path[i])
                 fresh.choose(path[i])
@@ -565,6 +585,53 @@ def test_a_refused_row_is_not_remembered():
                 d.solvers._double_greedy(g, d.SeparableFunction.zero(dom), remembering())
             assert g.call_count - before == calls
             assert root[0] is not None and root[1][0][0] is None
+
+
+def _overflowing_leaf(kind):
+    """A coverage or separable g on (2, 3, 2), finite at 0 and k_max, whose
+    double greedy with a zero m keeps a_0 = 0 and reaches a row of
+    coordinate 1 that overflows: (g, that row)."""
+    if kind == "separable":
+        g = d.SeparableFunction(d.LatticeDomain([2, 3, 2]), 0.0, [[0.0], [1e308, -1e308], [1e308]])
+        return g, (0, 1, 1)
+    spec = d.generate_ensemble("coverage", {"count": 1, "sizes": [2, 3, 2], "regions": 3},
+                               seed=1)[0]
+    # sensor 1 covers regions 0 and 2, sensor 2 region 1; the sum over all
+    # three regions is 1e308, over regions 0 and 2 inf
+    spec["g"]["probs"] = [[0.0, 0.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+    spec["g"]["weights"] = [1e308, -1e308, 1e308]
+    return d.build_problem(spec, validate=False)[0].g, (0, 1, 0)
+
+
+@pytest.mark.parametrize("kind", ["coverage", "separable"])
+def test_a_leaf_refuses_its_overflowing_row_on_every_sweep(kind):
+    """The overflowing row of ``_overflowing_leaf`` is refused with g's own
+    message on g's sweep, in double greedy of g and m, and on remembering
+    sweeps, which do not remember it: the second run reads coordinate 0's
+    rows and evaluates coordinate 1's again."""
+    g, point = _overflowing_leaf(kind)
+    m = d.SeparableFunction.zero(g.domain)
+    refused = functools.partial(pytest.raises, ValueError,
+                                match=re.escape(f"{g!r} returned inf at point {point}"))
+    with np.errstate(over="ignore"):
+        sweep = g._sweep()
+        sweep.rows()
+        sweep.choose(0)
+        with refused():
+            sweep.rows()
+        assert g.call_count == 2 + 4
+        before = g.call_count
+        with refused():
+            d.double_greedy_maximize(g, m)
+        assert g.call_count - before == 2 + 2 + 4
+        root, remembering = _remembering(g)
+        for calls in (2 + 2 + 4, 2 + 4):
+            before = g.call_count
+            with refused():
+                d.solvers._double_greedy(g, m, remembering())
+            assert g.call_count - before == calls
+            assert root[0] is not None and root[1][0][0] is None
+    assert m.call_count == 0
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -599,7 +666,7 @@ def test_double_greedy_zero_gain_coordinate_matches_reference(seed, curve):
     for level in point[:zero]:
         g_sweep.choose(level)
         m_sweep.choose(level)
-    values = g_sweep.rows() - m_sweep.rows()
+    values = np.subtract(g_sweep.rows(), m_sweep.rows())
     levels = np.concatenate(([0.0], np.cumsum(curve)))
     ups, downs = values[:4], values[4:]
     ga = (g - m)(point[:zero] + (0,) * (len(sizes) - zero))
@@ -652,7 +719,7 @@ def _ref_double_greedy_of_rows(g, m):
     ga, gb = (g.batch(ends) - m.batch(ends)).tolist()
     g_sweep, m_sweep = g._sweep(), m._sweep()
     for top in dom.k_max:
-        values = (g_sweep.rows() - m_sweep.rows()).tolist()
+        values = [v - w for v, w in zip(g_sweep.rows(), m_sweep.rows())]
         up_gain, up_level, down_gain, down_level = 0.0, 0, 0.0, top
         for level in range(top + 1):
             if level != 0 and values[level - 1] - ga > up_gain:
@@ -729,26 +796,22 @@ def test_double_greedy_of_g_and_m_refuses_what_the_composite_refuses():
     assert at_top.call_count == before  # m is refused before g is called
 
 
-def test_double_greedy_of_g_and_m_checks_the_rows_the_bounds_leave_unproven(monkeypatch):
-    """A coverage g and a bounded m prove every row of g - m finite: only g(0)
-    - m(0) and g(k_max) - m(k_max) are checked.  A table g proves nothing, so
-    each coordinate's rows are checked too."""
+def test_double_greedy_of_g_and_m_checks_every_row(monkeypatch):
+    """g(0) - m(0) and g(k_max) - m(k_max) are checked, then each
+    coordinate's rows of g and of g - m: for a coverage g and a bounded m, on
+    g's own sweep and on a remembering one, and for a table g."""
     problem = _coverage_g([3, 4, 2], 7)
     dom = problem.domain
     m = d.SeparableFunction(dom, 0.5, [np.full(k - 1, 0.25) for k in dom.sizes])
-    checked = []
-    difference = d.solvers._difference
-    monkeypatch.setattr(d.solvers, "_difference", lambda g, m, gv, mv, points: checked.append(
-        points is not None) or difference(g, m, gv, mv, points))
+    checks = _counting_checks(monkeypatch)
     table = d.TableFunction(dom, np.zeros(dom.num_points))
     remembering = _remembering(problem.g)[1]
-    for run, rows_checked in ((lambda: d.double_greedy_maximize(problem.g, m), False),
-                              (lambda: d.solvers._double_greedy(problem.g, m, remembering()),
-                               False),
-                              (lambda: d.double_greedy_maximize(table, m), True)):
-        checked.clear()
+    for run in (lambda: d.double_greedy_maximize(problem.g, m),
+                lambda: d.solvers._double_greedy(problem.g, m, remembering()),
+                lambda: d.double_greedy_maximize(table, m)):
+        checks.clear()
         run()
-        assert checked == [True] + [rows_checked] * dom.n
+        assert checks == [2] + [2 * (k - 1) for k in dom.sizes for _g_then_g_less_m in range(2)]
 
 
 @pytest.mark.filterwarnings("error")

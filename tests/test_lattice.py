@@ -23,6 +23,12 @@ class TestDomain:
         dom = d.LatticeDomain([3, 2])
         assert dom.contains((2, 1))
         assert not dom.contains((3, 0))
+        assert dom.contains((1.0, np.int64(1)))
+        # a fraction, a boolean, a string, wrong widths: contains is False, never a TypeError
+        for x in [(1.5, 0), (True, 0), ("1", 0), (1,), (1, 0, 0)]:
+            assert not dom.contains(x)
+            with pytest.raises(d.DomainError):
+                dom.require(x)
         assert dom.shift((1, 0), 0, 1) == (2, 0)
         with pytest.raises(d.DomainError):
             dom.shift((2, 0), 0, 1)

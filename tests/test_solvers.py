@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import dsmin as d
 from dsmin.solvers import SFM_TOL
 from conftest import (
+    concave_linear,
     nonnegative_submodular,
     quadratic_submodular,
     random_separable,
@@ -285,10 +286,38 @@ def test_sfm_iteration_budget_is_validated():
     for bad in (0, -3):
         with pytest.raises(ValueError, match="iterations must be >= 1"):
             d.SubgradientOptions(iterations=bad)
+    for bad in (2.5, 2.0, True, np.True_):
+        with pytest.raises(ValueError, match="^SFM iterations must be an integer"):
+            d.SubgradientOptions(iterations=bad)
+    assert d.SubgradientOptions(iterations=np.int64(2)).iterations == 2
     # the step-size knobs of the projected subgradient method are gone
     for removed in ("step_scale", "round_each_iteration"):
         with pytest.raises(TypeError):
             d.SubgradientOptions(**{removed: 1})
+
+
+def test_sfm_stops_at_its_documented_precision():
+    """README's stopping rule, gap <= 1e-9 * max(1, |value|) (SFM_TOL): on
+    this table the gap after one iteration exceeds 1e-3 * max(1, |value|),
+    and a later iteration closes it, so a looser tolerance stops early."""
+    sizes = (5, 2, 5, 3)
+    fn = concave_linear(158, sizes=sizes) - random_separable(158, sizes=sizes)
+    table = d.TableFunction(fn.domain, d.table_of(fn))
+    assert d.check_submodular(table)
+    first = d.minimize_submodular(table, "subgradient", options=d.SubgradientOptions(iterations=1))
+    assert first.duality_info["gap"] > 1e-3 * max(1.0, abs(first.value))
+    res = d.minimize_submodular(table, "subgradient")
+    assert res.duality_info["gap"] <= 1e-9 * max(1.0, abs(res.value))
+    assert res.value == d.brute_force_minimize(table)[1]
+
+
+def test_isotonic_corral_picks_no_shift_whose_carry_is_zero():
+    """-w pools into one block whose mean rounds to 1.0, so the carry at the
+    block's inner shift is exactly 0.0: no shift is picked, and every mu of a
+    corral is positive."""
+    rho, picked, mu = d.solvers._isotonic_corral([(0, 2)], [-1.0, -np.nextafter(1.0, 2.0)])
+    assert (rho, picked, mu) == ([1.0, 1.0], [], [])
+    assert all(v > 0.0 for v in mu)
 
 
 def test_sfm_closes_the_gap_within_the_default_budget():
